@@ -26,7 +26,10 @@ use report::{Counts, Metrics, Window, END_TO_END, PER_LAYER};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// The workloads, by name.
+/// The workloads, by name. `BENCHMARK.json` lists all but
+/// `serve-short`, which stays runnable by hand: every layer it calls is
+/// also measured on `serve-deploy`, and leaving it out gives the other
+/// runs the length a noisy host needs.
 pub const WORKLOADS: [&str; 4] = ["serve-short", "serve-deploy", "adapt-drift", "equalize-isi"];
 
 /// Set-up repetitions per run; `setup_s` is their median.
@@ -232,7 +235,7 @@ fn run(args: &Args) -> Result<(Counts, report::Reported), String> {
         wl.measure(args.seconds, MIN_SAMPLES, &mut plain, None)?;
         let counts = wl.finish()?;
         let lat = plain.frame_us();
-        let too_few = || format!("{} frame latencies make no tail block", lat.len());
+        let too_few = || format!("{} frame latencies make no latency block", lat.len());
         let p50 = plain.frame_p50_us().ok_or_else(too_few)?;
         let tail = plain.frame_tail_us().ok_or_else(too_few)?;
         println!("{}", report::latency_line("frame latency", "us", &lat));
@@ -246,17 +249,17 @@ fn run(args: &Args) -> Result<(Counts, report::Reported), String> {
                 )
             );
         }
-        let blocks = format!("median of {} blocks", plain.blocks());
-        let tail_blocks = format!(
-            "median of {} blocks of {} samples",
-            lat.len() / report::LATENCY_BLOCK,
+        let blocks = format!("trimmed mean of {} blocks", plain.blocks());
+        let latency_blocks = format!(
+            "trimmed mean of {} blocks of {} samples",
+            plain.latency_blocks(),
             report::LATENCY_BLOCK
         );
         let values = [
             (plain.frames_per_s(), blocks.clone()),
-            (plain.symbols_per_s(), blocks.clone()),
-            (p50, blocks),
-            (tail, tail_blocks),
+            (plain.symbols_per_s(), blocks),
+            (p50, latency_blocks.clone()),
+            (tail, latency_blocks),
             (
                 stats::median(&setup_s),
                 format!("median of {} set-ups", setup_s.len()),

@@ -79,7 +79,7 @@ pub const PER_LAYER: [Metric; 32] = [
         "parallel.pool_run_us",
         "us",
         "lower",
-        "frame_p50_us on serve-short",
+        "frame_p50_us on serve-deploy",
     ),
     m(
         "parallel.steals_per_round",
@@ -91,13 +91,13 @@ pub const PER_LAYER: [Metric; 32] = [
         "server.submit_ns_per_frame",
         "ns",
         "lower",
-        "frame_p50_us on serve-short",
+        "frame_p50_us on serve-deploy (small share)",
     ),
     m(
         "server.round_self_us",
         "us",
         "lower",
-        "frames_per_s on serve-short",
+        "frames_per_s on serve-deploy",
     ),
     m(
         "server.chunks_per_round",
@@ -121,7 +121,7 @@ pub const PER_LAYER: [Metric; 32] = [
         "server.allocs_per_frame",
         "count",
         "lower",
-        "frames_per_s on serve-short (0 for pilot sessions)",
+        "frames_per_s on serve-deploy",
     ),
     m(
         "channel.transmit_ns_per_sym",
@@ -133,7 +133,7 @@ pub const PER_LAYER: [Metric; 32] = [
         "demap.maxlog_ns_per_sym",
         "ns",
         "lower",
-        "frames_per_s on serve-short (small share)",
+        "frames_per_s on serve-deploy (small share), frame_p50_us on equalize-isi",
     ),
     m(
         "demap.hybrid_ns_per_sym",
@@ -269,25 +269,32 @@ pub const PER_LAYER: [Metric; 32] = [
     ),
 ];
 
-/// Busy time after which a workload closes a block of its window.
-pub const BLOCK_NS: u64 = 500_000_000;
+/// Busy time after which a workload closes a throughput block of its
+/// window.
+pub const BLOCK_NS: u64 = 250_000_000;
 
-/// Consecutive latency samples per tail block.
+/// Consecutive latency samples per latency block.
 pub const LATENCY_BLOCK: usize = 100;
 
-/// The tail percentile of a tail block: the highest with ten samples
-/// beyond it in [`LATENCY_BLOCK`] samples. Host stalls of a millisecond
-/// that hit a few percent of serving rounds decide a p99 outright, so
-/// the tail is read per 100 samples, where they decide at most a few
-/// blocks.
+/// The tail percentile of a latency block: the highest with ten
+/// samples beyond it in [`LATENCY_BLOCK`] samples.
 pub const TAIL_Q: f64 = 0.9;
 
-/// What one measured window produced. The window is cut into blocks of
+/// Share of the block figures dropped at each end before the rest are
+/// averaged: it removes the blocks a stall of the host hit.
+pub const TRIM: f64 = 0.1;
+
+/// What one measured window produced. Throughput is read per block of
 /// about [`BLOCK_NS`] busy time (a serve workload's rounds, a link
-/// workload's whole passes), and for the tail into blocks of
-/// [`LATENCY_BLOCK`] consecutive samples. Each timing is the median
-/// over blocks of the block's figure, so a stall of the host that hits
-/// a few blocks moves it less than it moves a whole-window figure.
+/// workload's whole passes), latency per block of [`LATENCY_BLOCK`]
+/// consecutive samples. Each timing is the [`TRIM`]med mean over
+/// blocks of the block's figure.
+///
+/// A small shared host switches between a fast and a slow state about
+/// 1.45× apart, for a fraction of the window that differs from run to
+/// run. A median over blocks jumps between the two states as that
+/// fraction passes one half; a trimmed mean moves in proportion to it,
+/// and its trim still drops the few blocks a stall hit.
 #[derive(Default)]
 pub struct Window {
     /// Frames completed.
@@ -310,9 +317,6 @@ struct Block {
     frames: u64,
     symbols: u64,
     busy_ns: u64,
-    /// Range of this block's samples in `frame_ns`.
-    from: usize,
-    to: usize,
 }
 
 impl Window {
@@ -347,65 +351,67 @@ impl Window {
 
     /// Closes the open block (a no-op when it is empty).
     pub fn close_block(&mut self) {
-        if self.open.frames == 0 {
-            return;
+        if self.open.frames > 0 {
+            self.blocks.push(std::mem::take(&mut self.open));
         }
-        self.open.to = self.frame_ns.len();
-        self.blocks.push(self.open);
-        self.open = Block {
-            from: self.frame_ns.len(),
-            ..Block::default()
-        };
     }
 
-    /// Blocks closed so far.
+    /// Throughput blocks closed so far.
     pub fn blocks(&self) -> usize {
         self.blocks.len()
     }
 
-    fn per_block(&self, f: impl Fn(&Block) -> Option<f64>) -> Vec<f64> {
-        self.blocks.iter().filter_map(f).collect()
+    /// Latency blocks of the window.
+    pub fn latency_blocks(&self) -> usize {
+        self.frame_ns.len() / LATENCY_BLOCK
     }
 
-    /// Median over blocks of frames per second of busy time.
+    fn per_block(&self, count: impl Fn(&Block) -> u64) -> f64 {
+        let rates: Vec<f64> = self
+            .blocks
+            .iter()
+            .map(|b| count(b) as f64 / (b.busy_ns as f64 * 1e-9))
+            .collect();
+        if rates.is_empty() {
+            0.0
+        } else {
+            stats::trimmed_mean(&rates, TRIM)
+        }
+    }
+
+    /// Trimmed mean over blocks of frames per second of busy time.
     pub fn frames_per_s(&self) -> f64 {
-        median(&self.per_block(|b| Some(b.frames as f64 / (b.busy_ns as f64 * 1e-9))))
+        self.per_block(|b| b.frames)
     }
 
-    /// Median over blocks of symbols per second of busy time.
+    /// Trimmed mean over blocks of symbols per second of busy time.
     pub fn symbols_per_s(&self) -> f64 {
-        median(&self.per_block(|b| Some(b.symbols as f64 / (b.busy_ns as f64 * 1e-9))))
+        self.per_block(|b| b.symbols)
     }
 
-    /// Median frame latency (µs) of every block that has samples.
-    pub fn block_p50s(&self) -> Vec<f64> {
-        self.per_block(|b| {
-            let v = &self.frame_ns[b.from..b.to];
-            (!v.is_empty()).then(|| stats::median(&scaled(v, 1e-3)))
-        })
-    }
-
-    /// Median over blocks of the block's median frame latency (µs);
-    /// `None` without samples.
-    pub fn frame_p50_us(&self) -> Option<f64> {
-        let v = self.block_p50s();
-        (!v.is_empty()).then(|| median(&v))
-    }
-
-    /// [`TAIL_Q`] frame latency (µs) of every [`LATENCY_BLOCK`]-sample
-    /// block.
-    pub fn block_tails(&self) -> Vec<f64> {
+    /// Quantile `q` of every latency block (µs).
+    pub fn block_quantiles(&self, q: f64) -> Vec<f64> {
         self.frame_ns
             .chunks_exact(LATENCY_BLOCK)
-            .map(|c| stats::quantile(&scaled(c, 1e-3), TAIL_Q))
+            .map(|c| stats::quantile(&scaled(c, 1e-3), q))
             .collect()
     }
 
-    /// Median over tail blocks of the block's [`TAIL_Q`] latency (µs);
-    /// `None` below one block.
+    fn latency_us(&self, q: f64) -> Option<f64> {
+        let v = self.block_quantiles(q);
+        (!v.is_empty()).then(|| stats::trimmed_mean(&v, TRIM))
+    }
+
+    /// Trimmed mean over latency blocks of the block's median frame
+    /// latency (µs); `None` below one block.
+    pub fn frame_p50_us(&self) -> Option<f64> {
+        self.latency_us(0.5)
+    }
+
+    /// Trimmed mean over latency blocks of the block's [`TAIL_Q`]
+    /// latency (µs); `None` below one block.
     pub fn frame_tail_us(&self) -> Option<f64> {
-        let v = self.block_tails();
-        (!v.is_empty()).then(|| median(&v))
+        self.latency_us(TAIL_Q)
     }
 
     /// Sorted ordinary-frame latencies in µs.
@@ -416,15 +422,6 @@ impl Window {
     /// Sorted trigger-frame latencies in ms.
     pub fn adapt_ms(&self) -> Vec<f64> {
         sorted(scaled(&self.adapt_ns, 1e-6))
-    }
-}
-
-/// Median of block figures (0 without blocks).
-fn median(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        0.0
-    } else {
-        stats::median(v)
     }
 }
 
@@ -571,7 +568,10 @@ mod tests {
             .iter()
             .map(|w| w.field("name").unwrap().as_str().unwrap())
             .collect();
-        assert_eq!(workloads, crate::WORKLOADS);
+        assert!(!workloads.is_empty());
+        for w in workloads {
+            assert!(crate::WORKLOADS.contains(&w), "{w} is not a workload");
+        }
     }
 
     #[test]
@@ -595,41 +595,47 @@ mod tests {
     }
 
     #[test]
-    fn window_timings_are_medians_over_blocks() {
+    fn window_throughput_is_a_trimmed_mean_over_blocks() {
         let mut w = Window::default();
-        // Three blocks: 1.1 ms, 2 ms (a stalled host) and 1 ms per
-        // frame, each holding one tail block.
-        for (busy, lat) in [(110_000, 11_000), (200_000, 20_000), (100_000, 10_000)] {
-            for _ in 0..LATENCY_BLOCK {
-                w.add(1, 8, busy, lat, true);
+        // Ten blocks: eight at 1 ms per frame, one at 0.5 ms and one
+        // stalled at 20 ms. The trim drops the fastest and the slowest.
+        let mut per_frame = vec![1_000_000; 8];
+        per_frame.extend([500_000, 20_000_000]);
+        for busy in per_frame {
+            for _ in 0..10 {
+                w.add(1, 8, busy, busy, true);
             }
             w.close_block();
         }
         w.close_block();
-        assert_eq!(w.blocks(), 3);
+        assert_eq!(w.blocks(), 10);
         let fps = w.frames_per_s();
-        assert!((fps - 1.0 / 1.1e-4).abs() < 1e-6, "median block: {fps}");
-        assert!((w.symbols_per_s() - 8.0 * fps).abs() < 1e-6);
-        assert_eq!(w.block_p50s(), vec![11.0, 20.0, 10.0]);
-        assert_eq!(w.frame_p50_us(), Some(11.0));
-        assert_eq!(w.frames, 3 * LATENCY_BLOCK as u64);
+        assert!((fps - 1000.0).abs() < 1e-9, "trimmed mean: {fps}");
+        assert!((w.symbols_per_s() - 8.0 * fps).abs() < 1e-9);
+        assert_eq!(w.frames, 100);
         let mut short = Window::default();
         short.add(1, 1, 1, 1, true);
-        assert_eq!(short.frame_tail_us(), None, "one sample makes no block");
+        assert_eq!(short.frame_p50_us(), None, "one sample makes no block");
+        assert_eq!(short.frame_tail_us(), None);
     }
 
     #[test]
-    fn tail_is_the_median_block_p90() {
+    fn latency_is_the_trimmed_mean_of_block_quantiles() {
         assert_eq!(stats::tail_quantile(LATENCY_BLOCK), Some(TAIL_Q));
         let mut w = Window::default();
-        for block in 0..3u64 {
+        // Block b holds 1..=100 µs scaled by b + 1: its p50 is
+        // 50 (b + 1) µs and its p90 90 (b + 1) µs.
+        for block in 0..10u64 {
             for i in 1..=LATENCY_BLOCK as u64 {
                 w.add(1, 1, i, i * 1000 * (block + 1), true);
             }
         }
-        // Block p90s are 90, 180 and 270 µs.
-        assert_eq!(w.block_tails(), vec![90.0, 180.0, 270.0]);
-        assert_eq!(w.frame_tail_us(), Some(180.0));
+        assert_eq!(w.latency_blocks(), 10);
+        assert_eq!(w.block_quantiles(TAIL_Q)[2], 270.0);
+        // The trim drops blocks 0 and 9; blocks 1..=8 average 5.5 × the
+        // first block.
+        assert_eq!(w.frame_p50_us(), Some(275.0));
+        assert_eq!(w.frame_tail_us(), Some(495.0));
     }
 
     #[test]

@@ -44,6 +44,22 @@ pub fn median(samples: &[f64]) -> f64 {
     quantile(samples, 0.5)
 }
 
+/// Mean of `samples` after dropping the lowest and the highest
+/// `trim` share of them (rounded down); the plain mean when that drops
+/// nothing.
+///
+/// # Panics
+/// Panics on an empty slice or a `trim` outside `[0, 0.5)`.
+pub fn trimmed_mean(samples: &[f64], trim: f64) -> f64 {
+    assert!(!samples.is_empty(), "mean of no samples");
+    assert!((0.0..0.5).contains(&trim), "trim {trim} outside [0, 0.5)");
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    let k = (trim * v.len() as f64) as usize;
+    let kept = &v[k..v.len() - k];
+    kept.iter().sum::<f64>() / kept.len() as f64
+}
+
 /// Human label of a ladder quantile (`0.99` → `"p99"`).
 pub fn label(q: f64) -> String {
     let pct = q * 100.0;
@@ -77,6 +93,15 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         // Exactly ten samples lie beyond p99 of 1000.
         assert_eq!(v.iter().filter(|&&x| x > 990.0).count(), MIN_BEYOND);
+    }
+
+    #[test]
+    fn trimmed_mean_drops_each_end() {
+        let v: Vec<f64> = (1..=10).map(f64::from).collect();
+        // 10 % of ten samples: 1 and 10 are dropped.
+        assert_eq!(trimmed_mean(&v, 0.1), 5.5);
+        assert_eq!(trimmed_mean(&[1.0, 2.0, 100.0], 0.1), 103.0 / 3.0);
+        assert_eq!(trimmed_mean(&[4.0, 1.0, 1.0, 1.0, 1.0, 9.0], 0.2), 1.75);
     }
 
     #[test]
