@@ -11,7 +11,9 @@
 //! - `BENCH_demap.json` — the max-log point-outer kernel (QAM-16,
 //!   σ=0.2) at n=256 and n=4096 against its per-symbol reference, and
 //!   the compiled paper-demapper `QuantizedGraph` block demap at
-//!   n=256.
+//!   n=256 (sigmoid output, so its last layer runs the wide path), and
+//!   the linear-output graph that serving compiles, every layer on the
+//!   fast path, at the server's 32,768-symbol chunk.
 //!
 //! Invariant pinned here (not just recorded): block max-log demap
 //! must never lose to the per-symbol loop — the regression a per-tile
@@ -34,6 +36,9 @@ use hybridem_mathkit::rng::Xoshiro256pp;
 use hybridem_mathkit::simd::LaneWidth;
 use hybridem_nn::model::MlpSpec;
 use std::hint::black_box;
+
+/// Symbols per call of the logits-graph case: one server chunk.
+const LOGITS_N: usize = 32_768;
 
 /// The pinned MVAU shape: 16×16 dense, W8 weights/activations (Q8.6),
 /// ReLU — the headline kernel of the issue's 17.6 Melem/s baseline.
@@ -139,11 +144,33 @@ fn main() {
             black_box(&llrs);
         })
     };
+    // The linear-output graph serving runs: every layer on the fast
+    // path, at the server's chunk size (128 sessions × 256 symbols).
+    let logits = compile(
+        &MlpSpec::paper_demapper_logits().build(&mut Xoshiro256pp::seed_from_u64(3)),
+        &[
+            q(QFormat::signed(8, 5)),
+            q(QFormat::signed(8, 4)),
+            q(QFormat::signed(8, 4)),
+            q(QFormat::signed(8, 3)),
+        ],
+    );
+    assert!(
+        logits.mvaus().iter().all(|m| m.has_fast_path()),
+        "the serving graph must stay on the fast path"
+    );
+    let chunk: Vec<C32> = ys.iter().copied().cycle().take(LOGITS_N).collect();
+    let mut chunk_llrs = vec![0f32; LOGITS_N * 4];
+    let logits_32768 = perf::measure_melems(LOGITS_N as u64, || {
+        logits.demap_block(black_box(&chunk), &mut chunk_llrs);
+        black_box(&chunk_llrs);
+    });
     let demap_results = vec![
         ("max_log_block_n256".to_string(), block_256),
         ("max_log_block_n4096".to_string(), block_4096),
         ("max_log_per_symbol_n4096".to_string(), per_symbol_4096),
         ("graph_demap_block_n256".to_string(), graph_256),
+        ("graph_logits_demap_block_n32768".to_string(), logits_32768),
     ];
 
     println!("| case | median Melem/s |");

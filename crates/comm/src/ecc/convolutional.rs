@@ -120,21 +120,23 @@ impl Viterbi {
         assert_eq!(llrs.len() % 2, 0, "rate-1/2 stream must be even");
         let steps = llrs.len() / 2;
         assert!(steps >= ConvCode::TAIL, "stream shorter than the tail");
-        let n_states = ConvCode::STATES;
         const NEG: f64 = f64::NEG_INFINITY;
 
-        let mut metric = vec![NEG; n_states];
+        // Two path-metric arrays swapped per step: the trellis walk
+        // allocates nothing.
+        let mut metric = [NEG; ConvCode::STATES];
         metric[0] = 0.0; // trellis starts in the zero state
+        let mut new_metric = [NEG; ConvCode::STATES];
         let mut decisions: Vec<[u8; ConvCode::STATES]> = Vec::with_capacity(steps);
         let mut predecessors: Vec<[usize; ConvCode::STATES]> = Vec::with_capacity(steps);
 
         for t in 0..steps {
             let l0 = llrs[2 * t] as f64;
             let l1 = llrs[2 * t + 1] as f64;
-            let mut new_metric = vec![NEG; n_states];
+            new_metric.fill(NEG);
             let mut dec = [0u8; ConvCode::STATES];
             let mut pred = [0usize; ConvCode::STATES];
-            for (state, &state_metric) in metric.iter().enumerate().take(n_states) {
+            for (state, &state_metric) in metric.iter().enumerate() {
                 if state_metric == NEG {
                     continue;
                 }
@@ -153,7 +155,7 @@ impl Viterbi {
             }
             decisions.push(dec);
             predecessors.push(pred);
-            metric = new_metric;
+            std::mem::swap(&mut metric, &mut new_metric);
         }
 
         // Zero-terminated: trace back from state 0.

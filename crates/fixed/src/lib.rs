@@ -27,6 +27,6 @@ pub mod quantize;
 pub mod rounding;
 
 pub use fx::Fx;
-pub use qformat::QFormat;
+pub use qformat::{QFormat, Quantizer};
 pub use quantize::{dequantize, quantize_slice, sqnr_db, QuantSpec};
 pub use rounding::Rounding;

@@ -96,28 +96,19 @@ impl QFormat {
     /// Converts a real value to the nearest raw integer, saturating at
     /// the format bounds.
     pub fn raw_from_f64(&self, v: f64, rounding: Rounding) -> i64 {
-        let scaled = v * (self.frac_bits as f64).exp2();
-        let raw = match rounding {
-            Rounding::Truncate => scaled.floor(),
-            Rounding::Nearest => {
-                if scaled >= 0.0 {
-                    (scaled + 0.5).floor()
-                } else {
-                    -((-scaled + 0.5).floor())
-                }
-            }
-            Rounding::NearestEven => {
-                let f = scaled.floor();
-                let rem = scaled - f;
-                if rem > 0.5 || (rem == 0.5 && (f as i64) & 1 == 1) {
-                    f + 1.0
-                } else {
-                    f
-                }
-            }
-        };
-        let raw = raw.clamp(self.raw_min() as f64, self.raw_max() as f64);
-        raw as i64
+        self.quantizer(rounding).raw(v)
+    }
+
+    /// [`QFormat::raw_from_f64`] with the scale and the clamp bounds
+    /// computed once, for loops that quantise many values into one
+    /// format. Bit-identical to `raw_from_f64` by construction.
+    pub fn quantizer(&self, rounding: Rounding) -> Quantizer {
+        Quantizer {
+            scale: (self.frac_bits as f64).exp2(),
+            lo: self.raw_min() as f64,
+            hi: self.raw_max() as f64,
+            rounding,
+        }
     }
 
     /// Converts a raw integer back to a real value (no checks — raw is
@@ -172,6 +163,69 @@ impl QFormat {
     }
 }
 
+/// A [`QFormat`] and [`Rounding`] with the per-value constants
+/// hoisted: `2^frac_bits` and the raw range as `f64`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Quantizer {
+    scale: f64,
+    lo: f64,
+    hi: f64,
+    rounding: Rounding,
+}
+
+/// 1.5·2^52: adding it to an integral `f64` of magnitude below 2^51
+/// leaves that integer, two's complement, in the low mantissa bits.
+const MAGIC: f64 = 6_755_399_441_055_744.0;
+
+impl Quantizer {
+    /// Converts a real value to its saturated raw integer. NaN maps to
+    /// 0 and ±∞ to the format bounds.
+    #[inline]
+    pub fn raw(&self, v: f64) -> i64 {
+        self.saturated(v) as i64
+    }
+
+    /// [`Quantizer::raw`] for formats whose raw range fits an `i32`
+    /// (the result is unspecified for wider ones). Bit-identical, but
+    /// branch-free: `as` conversions saturate lane by lane, so this
+    /// one reads the integer out of the mantissa instead, and loops
+    /// over it vectorise.
+    #[inline]
+    pub fn raw_i32(&self, v: f64) -> i32 {
+        debug_assert!(self.lo >= i32::MIN as f64 && self.hi <= i32::MAX as f64);
+        let raw = self.saturated(v);
+        let raw = if raw.is_nan() { 0.0 } else { raw };
+        (raw + MAGIC).to_bits() as i32
+    }
+
+    /// The rounded raw value as an integral `f64` clamped to the
+    /// format's range (NaN stays NaN).
+    #[inline(always)]
+    fn saturated(&self, v: f64) -> f64 {
+        let scaled = v * self.scale;
+        let raw = match self.rounding {
+            Rounding::Truncate => scaled.floor(),
+            Rounding::Nearest => {
+                if scaled >= 0.0 {
+                    (scaled + 0.5).floor()
+                } else {
+                    -((-scaled + 0.5).floor())
+                }
+            }
+            Rounding::NearestEven => {
+                let f = scaled.floor();
+                let rem = scaled - f;
+                if rem > 0.5 || (rem == 0.5 && (f as i64) & 1 == 1) {
+                    f + 1.0
+                } else {
+                    f
+                }
+            }
+        };
+        raw.clamp(self.lo, self.hi)
+    }
+}
+
 impl std::fmt::Display for QFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -212,6 +266,71 @@ mod tests {
                 (back - v).abs() <= q.resolution() / 2.0 + 1e-12,
                 "{v} → {back}"
             );
+        }
+    }
+
+    #[test]
+    fn quantizer_matches_the_per_value_conversion() {
+        // The hoisted quantizer against the textbook per-value formula
+        // (scale, round, saturate, `as i64`), on NaN, ±∞, ±0,
+        // subnormals, huge magnitudes and exact half-LSB ties; the
+        // branch-free i32 conversion agrees wherever the range fits.
+        fn reference(q: &QFormat, v: f64, rounding: Rounding) -> i64 {
+            let scaled = v * (q.frac_bits as f64).exp2();
+            let raw = match rounding {
+                Rounding::Truncate => scaled.floor(),
+                Rounding::Nearest if scaled >= 0.0 => (scaled + 0.5).floor(),
+                Rounding::Nearest => -((-scaled + 0.5).floor()),
+                Rounding::NearestEven => {
+                    let f = scaled.floor();
+                    let rem = scaled - f;
+                    if rem > 0.5 || (rem == 0.5 && (f as i64) & 1 == 1) {
+                        f + 1.0
+                    } else {
+                        f
+                    }
+                }
+            };
+            raw.clamp(q.raw_min() as f64, q.raw_max() as f64) as i64
+        }
+        let mut values = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-310,
+            -1e-310,
+            1e30,
+            -1e30,
+            0.499_999_999_999_999_94,
+        ];
+        for k in -300..300 {
+            values.push(k as f64 * 0.37);
+            values.push((k as f64 + 0.5) / 32.0);
+            values.push((k as f64 + 0.5) / 256.0);
+        }
+        let formats = [
+            QFormat::signed(4, 2),
+            QFormat::signed(8, 5),
+            QFormat::unsigned(8, 8),
+            QFormat::signed(16, 12),
+            QFormat::signed(32, 20),
+            QFormat::signed(63, 30),
+            QFormat::unsigned(62, 0),
+        ];
+        for q in formats {
+            for rounding in [Rounding::Truncate, Rounding::Nearest, Rounding::NearestEven] {
+                let quantizer = q.quantizer(rounding);
+                for &v in &values {
+                    let want = reference(&q, v, rounding);
+                    assert_eq!(quantizer.raw(v), want, "{q} {rounding:?} {v:e}");
+                    assert_eq!(q.raw_from_f64(v, rounding), want, "{q} {rounding:?} {v:e}");
+                    if q.raw_min() >= i32::MIN as i64 && q.raw_max() <= i32::MAX as i64 {
+                        assert_eq!(quantizer.raw_i32(v) as i64, want, "{q} {rounding:?} {v:e}");
+                    }
+                }
+            }
         }
     }
 

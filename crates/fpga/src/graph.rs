@@ -9,15 +9,16 @@
 //! `FakeQuant` boundaries) — lowers to a [`QuantizedGraph`] of
 //! integer [`Mvau`] ops that executes bit-exactly per symbol
 //! ([`QuantizedGraph::process_iq`]) and per block
-//! ([`QuantizedGraph::process_block_raw`]), allocation-free after
-//! warm-up, and slots straight into the link simulator as a
-//! [`Demapper`].
+//! ([`QuantizedGraph::process_block_raw`]) through one tile-fused,
+//! symbol-lane kernel, allocation-free after warm-up, and slots
+//! straight into the link simulator as a [`Demapper`].
 
-use crate::mvau::{Folding, HwActivation, Mvau, MvauConfig, MvauScratch};
+use crate::mvau::{self, Folding, HwActivation, Mvau, MvauConfig, MvauScratch, PlaneInt, TileIo};
 use crate::sigmoid_lut::SigmoidLut;
 use hybridem_comm::demapper::Demapper;
-use hybridem_fixed::{QFormat, QuantSpec, Rounding};
+use hybridem_fixed::{QFormat, QuantSpec, Quantizer, Rounding};
 use hybridem_mathkit::complex::C32;
+use hybridem_mathkit::simd::LaneWidth;
 use hybridem_nn::Sequential;
 use std::cell::RefCell;
 
@@ -85,35 +86,11 @@ pub struct QuantizedGraph {
     weight_bits: u32,
 }
 
-/// Reusable executor buffers: the input quantisation plane, the
-/// ping-pong activation planes between ops, the raw output staging for
-/// the f32 views, and the per-op [`MvauScratch`]. One warm scratch
-/// makes the whole integer pipeline allocation-free (asserted by the
-/// fpga crate's counting-allocator test).
-pub struct GraphScratch {
-    ping: Vec<i64>,
-    pong: Vec<i64>,
-    raw: Vec<i64>,
-    mvau: MvauScratch,
-}
-
-impl GraphScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self {
-            ping: Vec::new(),
-            pong: Vec::new(),
-            raw: Vec::new(),
-            mvau: MvauScratch::new(),
-        }
-    }
-}
-
-impl Default for GraphScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Reusable executor buffers: the MVAU tile planes, shared by every
+/// layer of the fused executor and sized by one tile. One warm scratch
+/// makes the whole integer pipeline allocation-free at any block
+/// length (asserted by the fpga crate's counting-allocator test).
+pub type GraphScratch = MvauScratch;
 
 thread_local! {
     static GRAPH_SCRATCH: RefCell<GraphScratch> = RefCell::new(GraphScratch::new());
@@ -308,33 +285,27 @@ impl QuantizedGraph {
         self.mvaus.last().unwrap().config().out_dim
     }
 
-    /// Integer block execution: quantises `ys` once, streams the whole
-    /// block through every op via [`Mvau::process_block_into`], and
-    /// leaves the raw outputs symbol-major in `out` (resized to
-    /// `ys.len() · output_dim`). Bit-exact versus a per-symbol
-    /// [`QuantizedGraph::process_iq`] loop — integer arithmetic end to
-    /// end — and allocation-free once `scratch` is warm.
+    /// Integer block execution, leaving the raw outputs symbol-major
+    /// in `out` (resized to `ys.len() · output_dim`). Bit-exact versus
+    /// a per-symbol [`Mvau::process_into`] chain — integer arithmetic
+    /// end to end — and allocation-free once `scratch` is warm.
     pub fn process_block_raw(&self, ys: &[C32], out: &mut Vec<i64>, scratch: &mut GraphScratch) {
-        let f = self.input_format;
-        scratch.ping.clear();
-        for y in ys {
-            scratch
-                .ping
-                .push(f.raw_from_f64(y.re as f64, Rounding::Nearest));
-            scratch
-                .ping
-                .push(f.raw_from_f64(y.im as f64, Rounding::Nearest));
-        }
-        let n = ys.len();
-        let last = self.mvaus.len() - 1;
-        for (i, m) in self.mvaus.iter().enumerate() {
-            let dst: &mut Vec<i64> = if i == last { out } else { &mut scratch.pong };
-            dst.resize(n * m.config().out_dim, 0);
-            m.process_block_into(&scratch.ping, dst, &mut scratch.mvau);
-            if i != last {
-                std::mem::swap(&mut scratch.ping, &mut scratch.pong);
-            }
-        }
+        self.process_block_raw_at(LaneWidth::detect(), ys, out, scratch);
+    }
+
+    /// [`QuantizedGraph::process_block_raw`] pinned to an explicit
+    /// [`LaneWidth`] — the hook the property tests use to prove the
+    /// fused kernel bit-exact at every supported width. Results never
+    /// depend on `width`.
+    pub fn process_block_raw_at(
+        &self,
+        width: LaneWidth,
+        ys: &[C32],
+        out: &mut Vec<i64>,
+        scratch: &mut GraphScratch,
+    ) {
+        out.resize(ys.len() * self.output_dim(), 0);
+        self.execute(width, ys, Sink::Raw(out), scratch);
     }
 
     /// f32 LLR block view backing the [`Demapper`] impl: symbol-major,
@@ -347,25 +318,24 @@ impl QuantizedGraph {
             "llrs_block output buffer must hold exactly {} LLRs",
             ys.len() * m
         );
-        let mut raw = std::mem::take(&mut scratch.raw);
-        self.process_block_raw(ys, &mut raw, scratch);
-        for (o, &r) in out.iter_mut().zip(raw.iter()) {
-            *o = self.llr_from_raw(r);
-        }
-        scratch.raw = raw;
+        self.execute(LaneWidth::detect(), ys, Sink::Llrs(out), scratch);
     }
 
-    /// One raw output to one LLR, per the graph's output semantic.
-    #[inline]
-    fn llr_from_raw(&self, raw: i64) -> f32 {
-        let v = self.output_format.f64_from_raw(raw);
-        match self.output {
-            GraphOutput::Logits => -v as f32,
-            GraphOutput::Probabilities => {
-                let p = v.clamp(1e-3, 1.0 - 1e-3);
-                -hybridem_mathkit::special::logit(p) as f32
-            }
-        }
+    /// The tile-fused executor: for each tile of
+    /// `hybridem_comm::demapper::BLOCK_TILE` symbols it quantises the
+    /// samples once into the input planes, runs every layer on the
+    /// tile, and writes the tile's outputs symbol-major into `sink`.
+    fn execute(&self, width: LaneWidth, ys: &[C32], sink: Sink<'_>, scratch: &mut GraphScratch) {
+        assert_eq!(self.input_dim(), 2, "graph inputs are I/Q pairs");
+        let io = GraphIo {
+            ys,
+            quantizer: self.input_format.quantizer(Rounding::Nearest),
+            resolution: self.output_format.resolution(),
+            output: self.output,
+            m: self.output_dim(),
+            sink,
+        };
+        mvau::run_tiles(width, &self.mvaus, ys.len(), scratch, io);
     }
 
     /// Bit-exact inference of one received sample, dequantised to f32
@@ -374,17 +344,82 @@ impl QuantizedGraph {
     /// through the per-thread block scratch so a warm thread does not
     /// allocate beyond the returned `Vec`.
     pub fn process_iq(&self, y: C32) -> Vec<f32> {
+        let mut out = vec![0f32; self.output_dim()];
         GRAPH_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let mut raw = std::mem::take(&mut scratch.raw);
-            self.process_block_raw(&[y], &mut raw, scratch);
-            let out = raw
-                .iter()
-                .map(|&r| self.output_format.f64_from_raw(r) as f32)
-                .collect();
-            scratch.raw = raw;
-            out
-        })
+            self.execute(
+                LaneWidth::detect(),
+                &[y],
+                Sink::Values(&mut out),
+                &mut cell.borrow_mut(),
+            );
+        });
+        out
+    }
+}
+
+/// Where the fused executor writes a block's outputs (symbol-major,
+/// `output_dim` per symbol).
+enum Sink<'a> {
+    /// Raw integers in the output format.
+    Raw(&'a mut [i64]),
+    /// Receiver LLRs per the graph's [`GraphOutput`] semantic.
+    Llrs(&'a mut [f32]),
+    /// Dequantised outputs (logits or probabilities).
+    Values(&'a mut [f32]),
+}
+
+/// [`TileIo`] of the graph executor: I/Q samples in, one [`Sink`]
+/// out, with the input quantiser and the output resolution hoisted
+/// out of the per-symbol loops.
+struct GraphIo<'a> {
+    ys: &'a [C32],
+    quantizer: Quantizer,
+    resolution: f64,
+    output: GraphOutput,
+    m: usize,
+    sink: Sink<'a>,
+}
+
+impl TileIo for GraphIo<'_> {
+    #[inline(always)]
+    fn fill<T: PlaneInt>(&mut self, start: usize, nt: usize, plane: &mut [T]) {
+        let (re, im) = plane.split_at_mut(mvau::TILE);
+        let q = self.quantizer;
+        for ((r, i), y) in re.iter_mut().zip(im).zip(&self.ys[start..start + nt]) {
+            *r = T::quantize(&q, y.re as f64);
+            *i = T::quantize(&q, y.im as f64);
+        }
+    }
+
+    #[inline(always)]
+    fn drain<T: PlaneInt>(&mut self, start: usize, nt: usize, plane: &[T]) {
+        let (m, resolution) = (self.m, self.resolution);
+        let value = |r: i64| r as f64 * resolution;
+        let span = start * m..(start + nt) * m;
+        match (&mut self.sink, self.output) {
+            (Sink::Raw(out), _) => symbol_major(plane, &mut out[span], m, |r| r),
+            (Sink::Llrs(out), GraphOutput::Logits) => {
+                symbol_major(plane, &mut out[span], m, |r| -value(r) as f32)
+            }
+            (Sink::Llrs(out), GraphOutput::Probabilities) => {
+                symbol_major(plane, &mut out[span], m, |r| {
+                    let p = value(r).clamp(1e-3, 1.0 - 1e-3);
+                    -hybridem_mathkit::special::logit(p) as f32
+                })
+            }
+            (Sink::Values(out), _) => symbol_major(plane, &mut out[span], m, |r| value(r) as f32),
+        }
+    }
+}
+
+/// Writes `f` of each raw output symbol-major into `out`, reading the
+/// first `out.len() / m` lanes of `m` feature-major planes.
+#[inline(always)]
+fn symbol_major<T: PlaneInt, U>(plane: &[T], out: &mut [U], m: usize, f: impl Fn(i64) -> U) {
+    for (s, sym) in out.chunks_exact_mut(m).enumerate() {
+        for (k, slot) in sym.iter_mut().enumerate() {
+            *slot = f(plane[k * mvau::TILE + s].raw());
+        }
     }
 }
 
@@ -464,8 +499,35 @@ mod tests {
         }
     }
 
+    /// Scalar reference LLRs of one sample: `raw_from_f64` input
+    /// quantisation, a per-symbol `Mvau::process_into` chain, then the
+    /// graph's output semantic.
+    fn reference_llrs(g: &QuantizedGraph, y: C32) -> Vec<f32> {
+        let f = g.input_format();
+        let mut x = vec![
+            f.raw_from_f64(y.re as f64, Rounding::Nearest),
+            f.raw_from_f64(y.im as f64, Rounding::Nearest),
+        ];
+        for m in g.mvaus() {
+            let mut out = vec![0i64; m.config().out_dim];
+            m.process_into(&x, &mut out);
+            x = out;
+        }
+        x.iter()
+            .map(|&r| {
+                let v = g.output_format().f64_from_raw(r);
+                match g.output_kind() {
+                    GraphOutput::Logits => -v as f32,
+                    GraphOutput::Probabilities => {
+                        -hybridem_mathkit::special::logit(v.clamp(1e-3, 1.0 - 1e-3)) as f32
+                    }
+                }
+            })
+            .collect()
+    }
+
     #[test]
-    fn demapper_llrs_match_block_path_bitwise() {
+    fn demapper_llrs_match_scalar_reference_bitwise() {
         let g = compile(&model(3), &boundaries(6));
         let mut rng = Xoshiro256pp::seed_from_u64(4);
         let ys: Vec<C32> = (0..33)
@@ -476,8 +538,10 @@ mod tests {
         let mut single = [0f32; 4];
         for (s, &y) in ys.iter().enumerate() {
             g.llrs(y, &mut single);
+            let want = reference_llrs(&g, y);
             for k in 0..4 {
-                assert_eq!(block[s * 4 + k].to_bits(), single[k].to_bits());
+                assert_eq!(block[s * 4 + k].to_bits(), want[k].to_bits());
+                assert_eq!(single[k].to_bits(), want[k].to_bits());
             }
         }
     }

@@ -20,7 +20,7 @@
 
 use crate::resources::{self, ResourceUsage};
 use crate::sigmoid_lut::SigmoidLut;
-use hybridem_fixed::{QFormat, QuantSpec, Rounding};
+use hybridem_fixed::{QFormat, QuantSpec, Quantizer, Rounding};
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::simd::{self, LaneWidth, Simd, SimdKernel};
 
@@ -74,19 +74,16 @@ impl std::fmt::Display for FoldingError {
 
 impl std::error::Error for FoldingError {}
 
-/// FINN-style folding factors — the one knob shared by the hardware
-/// cost model and the software block kernel (DESIGN.md §11).
+/// FINN-style folding factors of the hardware cost model
+/// (DESIGN.md §11.3).
 ///
-/// In hardware, `pe` output neurons and `simd` input features are
-/// processed per cycle, so one input occupies the unit for
+/// `pe` output neurons and `simd` input features are processed per
+/// cycle, so one input occupies the unit for
 /// `(in_dim/simd)·(out_dim/pe)` cycles and the resource model
-/// replicates multipliers `pe·simd` times. In software, the block
-/// kernel iterates the *same schedule*: outputs in groups of `pe`
-/// sharing one streamed input tile, inputs in beats of `simd` — so a
-/// folding sweep predicts hardware cost and measures software
-/// throughput from the same parameter. Results are folding-invariant
-/// (integer addition is associative; the accumulation order per
-/// `(symbol, neuron)` never changes), asserted by tests.
+/// replicates multipliers `pe·simd` times. The software block kernel
+/// does not read the folding (its lanes run across symbols), so its
+/// results, asserted by tests, and its speed are the same at every
+/// folding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Folding {
     /// Output-side parallelism (processing elements); must divide the
@@ -166,8 +163,8 @@ pub struct MvauConfig {
     pub in_dim: usize,
     /// Output neuron count.
     pub out_dim: usize,
-    /// Folding factors (PE × SIMD parallelism) — consumed by both the
-    /// resource/latency model and the software block kernel.
+    /// Folding factors (PE × SIMD parallelism) — consumed by the
+    /// resource/latency model only.
     pub folding: Folding,
     /// Weight quantisation format.
     pub weight_format: QFormat,
@@ -248,36 +245,53 @@ fn ceil_log2(n: usize) -> u32 {
     (usize::BITS - (n - 1).leading_zeros()).max(1)
 }
 
-/// Reusable buffers for [`Mvau::process_block_into`], mirroring
-/// `hybridem_nn`'s `InferScratch`: after one warm-up block at a given
-/// tile size the buffers are at their high-water mark and the whole
-/// integer pipeline allocates nothing (asserted by the fpga crate's
-/// counting-allocator test).
+/// Feature-major tile planes for the block executor
+/// ([`Mvau::process_block_into`] and the fused
+/// `QuantizedGraph` executor). Feature `i` of tile symbol `s` sits at
+/// `plane[i * TILE + s]`, so every plane is sized by the widest layer
+/// times one tile, never by the block. `i32` planes carry layers on
+/// the fast path, `i64` planes the wide fallback; each pair ping-pongs
+/// between a layer's input and its output. After one warm-up block the
+/// buffers are at their high-water mark and the executor allocates
+/// nothing (asserted by the fpga crate's counting-allocator test).
 pub struct MvauScratch {
-    /// Feature-major transpose of one input tile (`in_dim` planes of
-    /// `tile` raw values each) — the layout that lets the MAC inner
-    /// loop stream unit-stride.
-    tr: Vec<i64>,
-    /// Per-symbol accumulators for one output neuron over a tile.
-    acc: Vec<i64>,
-    /// Neuron-major activated outputs of one tile, transposed to the
-    /// symbol-major output layout in one pass (unit-stride writes in
-    /// both stages).
-    outp: Vec<i64>,
-    /// Narrowed (`i32`) symbol-major inputs for the fast path —
-    /// accumulators and outputs live in SIMD registers there, so this
-    /// is the fast path's only buffer.
-    tr32: Vec<i32>,
+    x32: Vec<i32>,
+    y32: Vec<i32>,
+    x64: Vec<i64>,
+    y64: Vec<i64>,
 }
 
 impl MvauScratch {
     /// Empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self {
-            tr: Vec::new(),
-            acc: Vec::new(),
-            outp: Vec::new(),
-            tr32: Vec::new(),
+            x32: Vec::new(),
+            y32: Vec::new(),
+            x64: Vec::new(),
+            y64: Vec::new(),
+        }
+    }
+
+    /// Grows the planes `layers` need; a no-op once warm.
+    fn reserve_for(&mut self, layers: &[Mvau]) {
+        fn grow<T: Copy + Default>(plane: &mut Vec<T>, len: usize) {
+            if plane.len() < len {
+                plane.resize(len, T::default());
+            }
+        }
+        let widest = layers
+            .iter()
+            .map(|m| m.cfg.in_dim.max(m.cfg.out_dim))
+            .max()
+            .unwrap_or(0);
+        let len = widest * TILE;
+        if layers.iter().any(|m| m.fast.is_some()) {
+            grow(&mut self.x32, len);
+            grow(&mut self.y32, len);
+        }
+        if layers.iter().any(|m| m.fast.is_none()) {
+            grow(&mut self.x64, len);
+            grow(&mut self.y64, len);
         }
     }
 }
@@ -288,10 +302,14 @@ impl Default for MvauScratch {
     }
 }
 
-/// Symbols per cache-resident block tile (the comm-side demapper
-/// tiling constant, so both halves of the receiver stream in the same
-/// granularity).
-const TILE: usize = hybridem_comm::demapper::BLOCK_TILE;
+/// Symbols per tile: every layer of a block runs over one tile before
+/// the next tile starts, so one tile's activations stay in the scratch
+/// planes (the comm-side demapper tiling constant, so both halves of
+/// the receiver stream in the same granularity).
+pub(crate) const TILE: usize = hybridem_comm::demapper::BLOCK_TILE;
+
+// A tile padded to whole vectors never exceeds the planes.
+const _: () = assert!(TILE.is_multiple_of(simd::MAX_LANES));
 
 /// The activation + cast of the 32-bit fast path, reduced to pure
 /// integer shift/clamp lane arithmetic. Bit-identical to the `Fx`
@@ -318,20 +336,15 @@ enum FastEpilogue {
 /// provably fits an `i32` (the accumulator format's guard bits plus
 /// one headroom bit stay under 31 bits), the output raw range fits an
 /// `i32`, and the activation reduces to [`FastEpilogue`] integer
-/// arithmetic. The block kernel then runs 32-bit SIMD MACs (twice the
-/// lanes of the 64-bit path, single-instruction vector multiplies)
-/// with results identical to the 64-bit `Fx` path: exact integer
+/// arithmetic. The block kernel then runs 32-bit SIMD MACs with
+/// results identical to the 64-bit `Fx` path: exact integer
 /// arithmetic is exact at any width that never overflows.
 #[derive(Clone, Debug)]
 struct FastPlan {
-    /// `i32` copy of the weights, `out_dim × in_dim` row-major (the
-    /// scalar-remainder layout).
-    weights32: Vec<i32>,
-    /// `i32` weights transposed to `in_dim × out_dim` (column-major in
-    /// the row-major world): at feature `i`, the weights of `N`
-    /// consecutive neurons are one contiguous vector load — the layout
-    /// the output-stationary kernel streams.
-    wcolmaj: Vec<i32>,
+    /// `i32` weights transposed to `in_dim × out_dim`: at feature `i`,
+    /// the weights of a block of consecutive neurons are one
+    /// contiguous slice, each broadcast across a vector of symbols.
+    wcols: Vec<i32>,
     /// `i32` copy of the biases (accumulator-format raw values).
     bias32: Vec<i32>,
     epilogue: FastEpilogue,
@@ -343,63 +356,332 @@ struct FastPlan {
     out_hi: i32,
 }
 
-/// The register-resident copy of a [`FastPlan`]'s epilogue scalars —
-/// `Copy`, so the kernel hoists one value load instead of re-reading
-/// plan fields through a reference inside the hot loop.
-#[derive(Clone, Copy, Debug)]
-struct Epilogue {
-    mode: FastEpilogue,
-    acc_lo: i32,
-    acc_hi: i32,
-    out_lo: i32,
-    out_hi: i32,
+/// Neurons that share one input-vector load in the symbol-lane kernel:
+/// independent accumulators that hide the MAC latency and stay in
+/// registers.
+const NEURON_BLOCK: usize = 4;
+
+/// [`FastEpilogue`] modes, as const parameters so each layer's
+/// vector loop is specialised and branch-free.
+const RELU_SHR: u8 = 0;
+const CAST: u8 = 1;
+const ROUND_SHR: u8 = 2;
+
+/// A fast layer's epilogue constants, splatted once per tile so the
+/// vector loop keeps them in registers.
+#[derive(Clone, Copy)]
+struct EpilogueLanes<const N: usize> {
+    acc_lo: Simd<i32, N>,
+    acc_hi: Simd<i32, N>,
+    out_lo: Simd<i32, N>,
+    out_hi: Simd<i32, N>,
+    shift: u32,
 }
 
-impl Epilogue {
-    /// One accumulator lane through saturate → activation → cast →
-    /// output saturation. `#[inline(always)]` so the lane ops fuse
-    /// into the MAC kernel's vector loop.
+impl<const N: usize> EpilogueLanes<N> {
+    /// Saturate → activation → cast → output saturation on one
+    /// accumulator vector (`max` then `min` is the clamp).
     #[inline(always)]
-    fn apply_lanes<const N: usize>(self, acc: Simd<i32, N>) -> Simd<i32, N> {
-        let a = acc.clamp(self.acc_lo, self.acc_hi);
-        let a = match self.mode {
-            FastEpilogue::ReluShr { shift } => {
-                let r = a.relu();
-                if shift == 0 {
-                    r
-                } else {
-                    r.shr(shift)
-                }
-            }
-            FastEpilogue::LinearShr { shift } => {
-                if shift == 0 {
-                    a
-                } else {
-                    a.round_shr_nearest(shift)
-                }
-            }
+    fn apply<const MODE: u8>(self, acc: Simd<i32, N>) -> Simd<i32, N> {
+        let a = acc.max(self.acc_lo).min(self.acc_hi);
+        let a = match MODE {
+            RELU_SHR => a.relu().shr(self.shift),
+            ROUND_SHR => a.round_shr_nearest(self.shift),
+            _ => a,
         };
-        a.clamp(self.out_lo, self.out_hi)
-    }
-
-    /// Scalar twin of [`Epilogue::apply_lanes`] for remainder lanes —
-    /// same operations, same order, bit-identical.
-    #[inline(always)]
-    fn apply_scalar(self, acc: i32) -> i32 {
-        self.apply_lanes(Simd::<i32, 1>([acc])).0[0]
+        a.max(self.out_lo).min(self.out_hi)
     }
 }
 
 impl FastPlan {
-    /// The epilogue scalars as a `Copy` bundle for the kernel.
+    /// One fast layer over one tile, lanes across symbols: the
+    /// epilogue mode is resolved once per layer, then
+    /// [`FastPlan::run_mode`] runs the MACs.
     #[inline(always)]
-    fn epilogue(&self) -> Epilogue {
-        Epilogue {
-            mode: self.epilogue,
-            acc_lo: self.acc_lo,
-            acc_hi: self.acc_hi,
-            out_lo: self.out_lo,
-            out_hi: self.out_hi,
+    fn run_tile<const N: usize>(
+        &self,
+        shape: (usize, usize),
+        x: &[i32],
+        y: &mut [i32],
+        lanes: usize,
+    ) {
+        let ep = |shift| EpilogueLanes::<N> {
+            acc_lo: Simd::<i32, N>::splat(self.acc_lo),
+            acc_hi: Simd::<i32, N>::splat(self.acc_hi),
+            out_lo: Simd::<i32, N>::splat(self.out_lo),
+            out_hi: Simd::<i32, N>::splat(self.out_hi),
+            shift,
+        };
+        match self.epilogue {
+            FastEpilogue::ReluShr { shift } => {
+                self.run_mode::<N, RELU_SHR>(shape, ep(shift), x, y, lanes)
+            }
+            FastEpilogue::LinearShr { shift: 0 } => {
+                self.run_mode::<N, CAST>(shape, ep(0), x, y, lanes)
+            }
+            FastEpilogue::LinearShr { shift } => {
+                self.run_mode::<N, ROUND_SHR>(shape, ep(shift), x, y, lanes)
+            }
+        }
+    }
+
+    /// The MAC loops of [`FastPlan::run_tile`]: neurons in blocks of
+    /// [`NEURON_BLOCK`] that share each input-vector load, then the
+    /// remaining neurons one at a time.
+    #[inline(always)]
+    fn run_mode<const N: usize, const MODE: u8>(
+        &self,
+        (in_dim, out_dim): (usize, usize),
+        ep: EpilogueLanes<N>,
+        x: &[i32],
+        y: &mut [i32],
+        lanes: usize,
+    ) {
+        let x = &x[..in_dim * TILE];
+        let blocked = out_dim - out_dim % NEURON_BLOCK;
+        for o in (0..blocked).step_by(NEURON_BLOCK) {
+            self.neurons::<N, NEURON_BLOCK, MODE>(out_dim, o, ep, x, y, lanes);
+        }
+        for o in blocked..out_dim {
+            self.neurons::<N, 1, MODE>(out_dim, o, ep, x, y, lanes);
+        }
+    }
+
+    /// Neurons `o..o + P` over the tile: for each vector of `N`
+    /// symbols, the accumulators start at the broadcast bias and take
+    /// one broadcast-weight MAC per input feature, in ascending fan-in
+    /// order, before the epilogue stores them into the neurons' output
+    /// planes. `lanes` is the tile length rounded up to whole vectors;
+    /// the padding lanes hold in-range values and are never read back.
+    #[inline(always)]
+    fn neurons<const N: usize, const P: usize, const MODE: u8>(
+        &self,
+        out_dim: usize,
+        o: usize,
+        ep: EpilogueLanes<N>,
+        x: &[i32],
+        y: &mut [i32],
+        lanes: usize,
+    ) {
+        let bias: [Simd<i32, N>; P] =
+            std::array::from_fn(|p| Simd::<i32, N>::splat(self.bias32[o + p]));
+        let wcols = &self.wcols[..];
+        for v in (0..lanes).step_by(N) {
+            let mut acc = bias;
+            let mut w_at = o;
+            for xp in x.chunks_exact(TILE) {
+                let xv = Simd::<i32, N>::load(&xp[v..]);
+                let w: &[i32; P] = wcols[w_at..w_at + P].try_into().unwrap();
+                for (a, &w) in acc.iter_mut().zip(w) {
+                    *a = a.mul_add(Simd::<i32, N>::splat(w), xv);
+                }
+                w_at += out_dim;
+            }
+            for (p, a) in acc.iter().enumerate() {
+                ep.apply::<MODE>(*a).store(&mut y[(o + p) * TILE + v..]);
+            }
+        }
+    }
+}
+
+/// An integer plane element: `i32` on the fast path, `i64` on the
+/// wide path.
+pub(crate) trait PlaneInt: Copy {
+    /// Narrows (or keeps) an in-range raw value.
+    fn from_raw(raw: i64) -> Self;
+    /// Widens back to the 64-bit raw-value world.
+    fn raw(self) -> i64;
+    /// Quantises a real value (`i32` planes only ever hold formats
+    /// narrow enough for [`Quantizer::raw_i32`]).
+    fn quantize(q: &Quantizer, v: f64) -> Self;
+}
+
+impl PlaneInt for i32 {
+    #[inline(always)]
+    fn from_raw(raw: i64) -> Self {
+        raw as i32
+    }
+    #[inline(always)]
+    fn raw(self) -> i64 {
+        self as i64
+    }
+    #[inline(always)]
+    fn quantize(q: &Quantizer, v: f64) -> Self {
+        q.raw_i32(v)
+    }
+}
+
+impl PlaneInt for i64 {
+    #[inline(always)]
+    fn from_raw(raw: i64) -> Self {
+        raw
+    }
+    #[inline(always)]
+    fn raw(self) -> i64 {
+        self
+    }
+    #[inline(always)]
+    fn quantize(q: &Quantizer, v: f64) -> Self {
+        q.raw(v)
+    }
+}
+
+/// Where a tile executor's inputs come from and where its outputs go.
+/// Planes are feature-major with stride [`TILE`]; `start` is the
+/// tile's first symbol within the block and `nt ≤ TILE` its length.
+pub(crate) trait TileIo {
+    /// Writes the tile's `nt` input symbols into the first `nt` lanes
+    /// of each input feature's plane.
+    fn fill<T: PlaneInt>(&mut self, start: usize, nt: usize, plane: &mut [T]);
+    /// Reads the tile's `nt` output symbols from the last layer's
+    /// planes.
+    fn drain<T: PlaneInt>(&mut self, start: usize, nt: usize, plane: &[T]);
+}
+
+/// Runs `n` symbols through the layer chain `layers`, one tile at a
+/// time, at lane width `width`: `io` fills each tile's input planes,
+/// every layer runs on the tile, and `io` drains the last plane.
+/// Results equal a per-symbol [`Mvau::process_into`] chain exactly.
+pub(crate) fn run_tiles<IO: TileIo>(
+    width: LaneWidth,
+    layers: &[Mvau],
+    n: usize,
+    scratch: &mut MvauScratch,
+    io: IO,
+) {
+    scratch.reserve_for(layers);
+    simd::dispatch_at(
+        width,
+        TileKernel {
+            layers,
+            n,
+            scratch,
+            io,
+        },
+    );
+}
+
+/// The tile-fused, symbol-lane block kernel, width-generic and
+/// dispatched once per block at the probed [`simd::LaneWidth`]. Fast
+/// layers run [`FastPlan::run_tile`] on `i32` planes; layers without a
+/// fast plan (sigmoid LUTs, fraction-growing casts, accumulators wider
+/// than 30 bits) run [`Mvau::wide_tile`] on `i64` planes of the same
+/// tile, with one narrowing or widening copy where the plane type
+/// changes.
+struct TileKernel<'a, IO> {
+    layers: &'a [Mvau],
+    n: usize,
+    scratch: &'a mut MvauScratch,
+    io: IO,
+}
+
+impl<IO: TileIo> SimdKernel for TileKernel<'_, IO> {
+    type Output = ();
+
+    // Always inlined into the dispatch trampoline, so the whole body
+    // compiles with the trampoline's target features.
+    #[inline(always)]
+    fn run<const N: usize>(self) {
+        let TileKernel {
+            layers,
+            n,
+            scratch,
+            mut io,
+        } = self;
+        let MvauScratch { x32, y32, x64, y64 } = scratch;
+        for start in (0..n).step_by(TILE) {
+            let nt = TILE.min(n - start);
+            let lanes = nt.next_multiple_of(N);
+            // Which plane type holds the current activations.
+            let mut wide = layers[0].fast.is_none();
+            if wide {
+                io.fill(start, nt, &mut x64[..]);
+            } else {
+                io.fill(start, nt, &mut x32[..]);
+                zero_padding(x32, layers[0].cfg.in_dim, nt, lanes);
+            }
+            for m in layers {
+                let (in_dim, out_dim) = (m.cfg.in_dim, m.cfg.out_dim);
+                match &m.fast {
+                    Some(plan) => {
+                        if wide {
+                            copy_planes(&x64[..], &mut x32[..], in_dim, nt);
+                            zero_padding(x32, in_dim, nt, lanes);
+                            wide = false;
+                        }
+                        plan.run_tile::<N>((in_dim, out_dim), x32, y32, lanes);
+                        std::mem::swap(x32, y32);
+                    }
+                    None => {
+                        if !wide {
+                            copy_planes(&x32[..], &mut x64[..], in_dim, nt);
+                            wide = true;
+                        }
+                        m.wide_tile(x64, y64, nt);
+                        std::mem::swap(x64, y64);
+                    }
+                }
+            }
+            if wide {
+                io.drain(start, nt, &x64[..]);
+            } else {
+                io.drain(start, nt, &x32[..]);
+            }
+        }
+    }
+}
+
+/// Zeroes lanes `nt..lanes` of the first `rows` planes: the fast
+/// kernel computes whole vectors, and zero is in range for every
+/// format, so the padding lanes can never overflow.
+#[inline(always)]
+fn zero_padding(plane: &mut [i32], rows: usize, nt: usize, lanes: usize) {
+    for r in 0..rows {
+        plane[r * TILE + nt..r * TILE + lanes].fill(0);
+    }
+}
+
+/// Copies the first `nt` lanes of `rows` planes across plane types.
+#[inline(always)]
+fn copy_planes<S: PlaneInt, D: PlaneInt>(src: &[S], dst: &mut [D], rows: usize, nt: usize) {
+    for r in 0..rows {
+        let row = r * TILE..r * TILE + nt;
+        for (d, &s) in dst[row.clone()].iter_mut().zip(&src[row]) {
+            *d = D::from_raw(s.raw());
+        }
+    }
+}
+
+/// [`TileIo`] over symbol-major raw buffers: `n · in_dim` inputs in,
+/// `n · out_dim` outputs out. (`take(TILE)` shows the compiler that
+/// every plane index is in bounds.)
+struct SymbolMajor<'a> {
+    inputs: &'a [i64],
+    out: &'a mut [i64],
+    in_dim: usize,
+    out_dim: usize,
+}
+
+impl TileIo for SymbolMajor<'_> {
+    #[inline(always)]
+    fn fill<T: PlaneInt>(&mut self, start: usize, nt: usize, plane: &mut [T]) {
+        let d = self.in_dim;
+        let syms = self.inputs[start * d..(start + nt) * d].chunks_exact(d);
+        for (s, sym) in syms.enumerate().take(TILE) {
+            for (row, &x) in plane.chunks_exact_mut(TILE).zip(sym) {
+                row[s] = T::from_raw(x);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn drain<T: PlaneInt>(&mut self, start: usize, nt: usize, plane: &[T]) {
+        let d = self.out_dim;
+        let syms = self.out[start * d..(start + nt) * d].chunks_exact_mut(d);
+        for (s, sym) in syms.enumerate().take(TILE) {
+            for (slot, row) in sym.iter_mut().zip(plane.chunks_exact(TILE)) {
+                *slot = row[s].raw();
+            }
         }
     }
 }
@@ -415,179 +697,6 @@ pub struct Mvau {
     biases: Vec<i64>,
     /// 32-bit SIMD fast path when the formats allow it.
     fast: Option<FastPlan>,
-}
-
-/// The 32-bit MAC + epilogue kernel over one symbol-major tile,
-/// width-generic and dispatched at the probed [`simd::LaneWidth`].
-///
-/// Output-stationary, neuron-lane layout: each vector lane holds one
-/// output neuron's accumulator, so a chunk of `N` neurons streams the
-/// column-major weight plane (`FastPlan::wcolmaj`) with one contiguous
-/// load per feature while the symbol's input value broadcasts — no
-/// input or output transpose exists anywhere, and the activated lanes
-/// widen straight into the symbol-major output slice. `SYM_BLOCK`
-/// symbols run concurrently to hide the MAC latency chain (their
-/// accumulators are independent).
-///
-/// Loop structure follows the MVAU folding schedule: outputs in
-/// groups of `pe` (one pass over the inputs per group), inputs in
-/// beats of `simd` inside that pass — the software mirror of the
-/// hardware's `(in/simd)·(out/pe)` beat count. The accumulation order
-/// per `(symbol, neuron)` is ascending feature index at every folding,
-/// width and symbol block, so results are bit-identical to the scalar
-/// reference.
-struct MacKernel32<'a> {
-    /// Symbol-major raw inputs, `nt × in_dim` (64-bit; narrowed into
-    /// `xn` inside the kernel so the conversion also runs under the
-    /// dispatch trampoline's ISA).
-    inputs: &'a [i64],
-    /// Narrowed-input scratch, resized to `nt · in_dim` by the kernel.
-    xn: &'a mut Vec<i32>,
-    /// Symbol-major raw outputs, `nt × out_dim`.
-    out: &'a mut [i64],
-    in_dim: usize,
-    out_dim: usize,
-    pe: usize,
-    simd: usize,
-    plan: &'a FastPlan,
-}
-
-/// Symbols processed concurrently per vector micro-block (independent
-/// accumulator registers that hide the integer MAC latency chain).
-const SYM_BLOCK: usize = 4;
-
-impl MacKernel32<'_> {
-    /// One block of `S` symbols × `N` neurons (`ov..ov + N`): MACs over
-    /// features `ib..ib + ibn`, then (on the last beat) epilogue and
-    /// widening store. `#[inline(always)]` so each (S, N)
-    /// instantiation gets constant trip counts and register-resident
-    /// accumulators.
-    ///
-    /// (The slice indexing stays bounds-checked on purpose: the checks
-    /// are cheap next to the vector MACs, and their branches keep
-    /// LLVM's unroller from reassociating the accumulator chain into
-    /// spilled partial sums — measured ~10× faster than the
-    /// `get_unchecked` variant on AVX-512.)
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path register-resident
-    fn micro_block<const N: usize, const S: usize>(
-        ep: Epilogue,
-        wcolmaj: &[i32],
-        xn: &[i32],
-        out: &mut [i64],
-        in_dim: usize,
-        out_dim: usize,
-        ov: usize,
-        s: usize,
-        acc: &mut [Simd<i32, N>; S],
-        ib: usize,
-        ibn: usize,
-    ) {
-        // Exact-length row slices: the `xr[j][k]` bound (`k < ibn`)
-        // is provable, so the inner loop keeps only the weight-column
-        // check.
-        let xr: [&[i32]; S] =
-            std::array::from_fn(|j| &xn[(s + j) * in_dim + ib..(s + j) * in_dim + ib + ibn]);
-        for (k, i) in (ib..ib + ibn).enumerate() {
-            let col = Simd::<i32, N>::load(&wcolmaj[i * out_dim + ov..]);
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a = a.mul_add(col, Simd::<i32, N>::splat(xr[j][k]));
-            }
-        }
-        // Last beat of the input pass for this symbol block: activate
-        // and widen straight into the symbol-major output.
-        if ib + ibn == in_dim {
-            for (j, a) in acc.iter().enumerate() {
-                ep.apply_lanes(*a)
-                    .store_widened(&mut out[(s + j) * out_dim + ov..]);
-            }
-        }
-    }
-}
-
-impl SimdKernel for MacKernel32<'_> {
-    type Output = ();
-
-    fn run<const N: usize>(self) {
-        let MacKernel32 {
-            inputs,
-            xn,
-            out,
-            in_dim,
-            out_dim,
-            pe,
-            simd,
-            plan,
-        } = self;
-        let nt = inputs.len() / in_dim;
-        xn.resize(nt * in_dim, 0);
-        for (slot, &x) in xn.iter_mut().zip(inputs) {
-            *slot = x as i32;
-        }
-        let ep = plan.epilogue();
-        let s_full = nt - nt % SYM_BLOCK;
-        for og in (0..out_dim).step_by(pe) {
-            let ope = pe.min(out_dim - og);
-            let v_end = og + ope - ope % N;
-            for ov in (og..v_end).step_by(N) {
-                let bias = Simd::<i32, N>::load(&plan.bias32[ov..]);
-                let mut s = 0;
-                while s < s_full {
-                    let mut acc = [bias; SYM_BLOCK];
-                    for ib in (0..in_dim).step_by(simd) {
-                        let ibn = simd.min(in_dim - ib);
-                        Self::micro_block::<N, SYM_BLOCK>(
-                            ep,
-                            &plan.wcolmaj,
-                            xn,
-                            out,
-                            in_dim,
-                            out_dim,
-                            ov,
-                            s,
-                            &mut acc,
-                            ib,
-                            ibn,
-                        );
-                    }
-                    s += SYM_BLOCK;
-                }
-                // Remainder symbols, one at a time: same beats, same
-                // per-(symbol, neuron) accumulation order.
-                for s in s_full..nt {
-                    let mut acc = [bias; 1];
-                    for ib in (0..in_dim).step_by(simd) {
-                        let ibn = simd.min(in_dim - ib);
-                        Self::micro_block::<N, 1>(
-                            ep,
-                            &plan.wcolmaj,
-                            xn,
-                            out,
-                            in_dim,
-                            out_dim,
-                            ov,
-                            s,
-                            &mut acc,
-                            ib,
-                            ibn,
-                        );
-                    }
-                }
-            }
-            // Neuron remainder (`ope % N` tail of the PE group):
-            // scalar row-major MACs, identical fan-in order.
-            for o in v_end..og + ope {
-                let row = &plan.weights32[o * in_dim..(o + 1) * in_dim];
-                for s in 0..nt {
-                    let mut a = plan.bias32[o];
-                    for (i, &w) in row.iter().enumerate() {
-                        a += w * xn[s * in_dim + i];
-                    }
-                    out[s * out_dim + o] = ep.apply_scalar(a) as i64;
-                }
-            }
-        }
-    }
 }
 
 impl Mvau {
@@ -639,15 +748,14 @@ impl Mvau {
         };
         let fast = match epilogue {
             Some(epilogue) if acc.total_bits < 31 && cfg.out_format.total_bits < 31 => {
-                let mut wcolmaj = vec![0i32; cfg.in_dim * cfg.out_dim];
+                let mut wcols = vec![0i32; cfg.in_dim * cfg.out_dim];
                 for o in 0..cfg.out_dim {
                     for i in 0..cfg.in_dim {
-                        wcolmaj[i * cfg.out_dim + o] = weights[o * cfg.in_dim + i] as i32;
+                        wcols[i * cfg.out_dim + o] = weights[o * cfg.in_dim + i] as i32;
                     }
                 }
                 Some(FastPlan {
-                    weights32: weights.iter().map(|&w| w as i32).collect(),
-                    wcolmaj,
+                    wcols,
                     bias32: biases.iter().map(|&b| b as i32).collect(),
                     epilogue,
                     acc_lo: acc.raw_min() as i32,
@@ -679,9 +787,8 @@ impl Mvau {
     }
 
     /// The same quantised layer under a different folding. Results are
-    /// bit-identical (folding only reshapes the schedule); the
-    /// resource/latency model and the software kernel's loop structure
-    /// change together.
+    /// bit-identical (folding only reshapes the hardware schedule, which
+    /// the resource/latency model reads).
     pub fn refold(&self, folding: Folding) -> Result<Mvau, FoldingError> {
         folding.validate_for(self.cfg.in_dim, self.cfg.out_dim)?;
         let mut m = self.clone();
@@ -735,22 +842,21 @@ impl Mvau {
     /// Bit-exact block forward pass: `inputs` holds `n · in_dim` raw
     /// values symbol-major, `out` receives `n · out_dim` raw outputs
     /// symbol-major. Results equal a [`Mvau::process`] loop exactly —
-    /// every `(symbol, neuron)` accumulation runs in the same fan-in
-    /// order, and integer addition is associative — but the kernel is
-    /// restructured for throughput: each input tile is transposed to
-    /// feature-major planes once, then every weight scalar streams
-    /// across a contiguous plane of symbols (unit-stride MACs), and
-    /// nothing allocates once `scratch` is warm.
+    /// integer arithmetic that never overflows, every `(symbol,
+    /// neuron)` accumulation in ascending fan-in order — but the
+    /// kernel is the single-layer case of the tile-fused, symbol-lane
+    /// executor: each tile is transposed to feature-major planes, every
+    /// broadcast weight multiplies a vector of symbols, and nothing
+    /// allocates once `scratch` is warm.
     pub fn process_block_into(&self, inputs: &[i64], out: &mut [i64], scratch: &mut MvauScratch) {
         self.process_block_into_at(LaneWidth::detect(), inputs, out, scratch);
     }
 
     /// [`Mvau::process_block_into`] pinned to an explicit
     /// [`LaneWidth`] — the hook the property tests use to prove the
-    /// fast-path kernel bit-exact at every supported width. Results
-    /// never depend on `width`; hot paths should use
-    /// [`Mvau::process_block_into`], which dispatches at the probed
-    /// width.
+    /// kernel bit-exact at every supported width. Results never depend
+    /// on `width`; hot paths should use [`Mvau::process_block_into`],
+    /// which dispatches at the probed width.
     pub fn process_block_into_at(
         &self,
         width: LaneWidth,
@@ -766,65 +872,37 @@ impl Mvau {
         );
         let n = inputs.len() / in_dim;
         assert_eq!(out.len(), n * out_dim, "block output buffer size");
+        let io = SymbolMajor {
+            inputs,
+            out,
+            in_dim,
+            out_dim,
+        };
+        run_tiles(width, std::slice::from_ref(self), n, scratch, io);
+    }
+
+    /// The wide fallback on one tile of `i64` planes: 64-bit MACs in
+    /// ascending fan-in order, then [`Mvau::apply_activation`]'s `Fx`
+    /// arithmetic (sigmoid LUTs, fraction-growing casts, accumulators
+    /// wider than 30 bits), each neuron's output plane doubling as its
+    /// accumulator.
+    #[inline(always)]
+    fn wide_tile(&self, x: &[i64], y: &mut [i64], nt: usize) {
+        let in_dim = self.cfg.in_dim;
         let acc_fmt = self.cfg.acc_format();
-        for (in_tile, out_tile) in inputs
-            .chunks(TILE * in_dim)
-            .zip(out.chunks_mut(TILE * out_dim))
-        {
-            let nt = in_tile.len() / in_dim;
-            if let Some(plan) = &self.fast {
-                // Narrow fast path: 32-bit output-stationary SIMD MACs
-                // + integer epilogue, provably exact (see
-                // [`FastPlan`]), at the lane width probed by
-                // `mathkit::simd`. Inputs and outputs stay
-                // symbol-major; no transposes.
-                simd::dispatch_at(
-                    width,
-                    MacKernel32 {
-                        inputs: in_tile,
-                        xn: &mut scratch.tr32,
-                        out: out_tile,
-                        in_dim,
-                        out_dim,
-                        pe: self.cfg.pe(),
-                        simd: self.cfg.simd(),
-                        plan,
-                    },
-                );
-            } else {
-                // Wide path: 64-bit MACs over the transposed planes,
-                // with the Fx-based activation epilogue (sigmoid LUTs,
-                // fraction-growing casts, >30-bit accumulators).
-                scratch.tr.resize(in_dim * nt, 0);
-                for (s, sym) in in_tile.chunks_exact(in_dim).enumerate() {
-                    for (i, &x) in sym.iter().enumerate() {
-                        scratch.tr[i * nt + s] = x;
-                    }
-                }
-                scratch.outp.resize(out_dim * nt, 0);
-                scratch.acc.resize(nt, 0);
-                for o in 0..out_dim {
-                    let row = &self.weights[o * in_dim..(o + 1) * in_dim];
-                    scratch.acc.fill(self.biases[o]);
-                    for (i, &w) in row.iter().enumerate() {
-                        let plane = &scratch.tr[i * nt..(i + 1) * nt];
-                        for (a, &x) in scratch.acc.iter_mut().zip(plane) {
-                            *a += w * x;
-                        }
-                    }
-                    for a in scratch.acc.iter_mut() {
-                        *a = acc_fmt.saturate(*a).0;
-                    }
-                    let oplane = &mut scratch.outp[o * nt..(o + 1) * nt];
-                    self.apply_activation_plane(acc_fmt, &scratch.acc, oplane);
-                }
-                // Neuron-major → symbol-major in one pass.
-                for (s, sym) in out_tile.chunks_exact_mut(out_dim).enumerate() {
-                    for (o, slot) in sym.iter_mut().enumerate() {
-                        *slot = scratch.outp[o * nt + s];
-                    }
+        for o in 0..self.cfg.out_dim {
+            let row = &self.weights[o * in_dim..(o + 1) * in_dim];
+            let acc = &mut y[o * TILE..o * TILE + nt];
+            acc.fill(self.biases[o]);
+            for (i, &w) in row.iter().enumerate() {
+                for (a, &xv) in acc.iter_mut().zip(&x[i * TILE..i * TILE + nt]) {
+                    *a += w * xv;
                 }
             }
+            for a in acc.iter_mut() {
+                *a = acc_fmt.saturate(*a).0;
+            }
+            self.activate_plane(acc_fmt, acc);
         }
     }
 
@@ -843,31 +921,28 @@ impl Mvau {
         }
     }
 
-    /// The block kernels' epilogue: [`Mvau::apply_activation`] over a
-    /// whole saturated-accumulator plane, with the activation dispatch
-    /// hoisted out of the inner loop so the cast arithmetic (the same
-    /// `Fx` operations, branch for branch) runs in tight monomorphic
-    /// loops the compiler can vectorise.
-    fn apply_activation_plane(&self, acc_fmt: QFormat, accs: &[i64], out: &mut [i64]) {
+    /// [`Mvau::apply_activation`] in place over a plane of saturated
+    /// accumulators, with the activation dispatch hoisted out of the
+    /// loop (the same `Fx` operations, branch for branch).
+    fn activate_plane(&self, acc_fmt: QFormat, plane: &mut [i64]) {
         match &self.activation {
             HwActivation::Relu => {
-                for (op, &a) in out.iter_mut().zip(accs) {
-                    let clamped = a.max(0);
-                    *op = hybridem_fixed::Fx::from_raw(clamped, acc_fmt)
+                for a in plane.iter_mut() {
+                    *a = hybridem_fixed::Fx::from_raw((*a).max(0), acc_fmt)
                         .cast(self.cfg.out_format, Rounding::Truncate)
                         .raw();
                 }
             }
             HwActivation::Linear => {
-                for (op, &a) in out.iter_mut().zip(accs) {
-                    *op = hybridem_fixed::Fx::from_raw(a, acc_fmt)
+                for a in plane.iter_mut() {
+                    *a = hybridem_fixed::Fx::from_raw(*a, acc_fmt)
                         .cast(self.cfg.out_format, Rounding::Nearest)
                         .raw();
                 }
             }
             HwActivation::Sigmoid(lut) => {
-                for (op, &a) in out.iter_mut().zip(accs) {
-                    *op = lut.lookup(a, acc_fmt);
+                for a in plane.iter_mut() {
+                    *a = lut.lookup(*a, acc_fmt);
                 }
             }
         }

@@ -140,6 +140,44 @@ fn quantized_graph_block_pipeline_allocates_nothing_when_warm() {
 }
 
 #[test]
+fn graph_scratch_is_sized_by_the_tile_not_the_block() {
+    // The fused executor keeps one tile of every layer's activations:
+    // scratch warmed by a single 256-symbol block must carry a
+    // 32,768-symbol server chunk without growing.
+    let mut rng = Xoshiro256pp::seed_from_u64(5);
+    let model = MlpSpec::paper_demapper_logits().build(&mut rng);
+    let q = |t: u32, f: u32| QuantSpec {
+        format: QFormat::signed(t, f),
+        rounding: Rounding::Nearest,
+    };
+    let graph = compile(&model, &[q(8, 5), q(8, 4), q(8, 4), q(8, 3)]);
+    let chunk = samples(32_768, 6);
+    let tile = &chunk[..256];
+
+    let mut scratch = GraphScratch::new();
+    let mut raw = Vec::with_capacity(chunk.len() * 4);
+    graph.process_block_raw(tile, &mut raw, &mut scratch);
+    let before = allocations();
+    graph.process_block_raw(&chunk, &mut raw, &mut scratch);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a 256-symbol warm-up must size process_block_raw for any block"
+    );
+
+    // The Demapper path's thread-local scratch, warmed the same way.
+    let mut out = vec![0f32; chunk.len() * 4];
+    graph.demap_block(tile, &mut out[..256 * 4]);
+    let before = allocations();
+    graph.demap_block(&chunk, &mut out);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a 256-symbol warm-up must size demap_block for a server chunk"
+    );
+}
+
+#[test]
 fn mvau_block_kernel_allocates_nothing_when_warm() {
     let mut rng = Xoshiro256pp::seed_from_u64(4);
     let model = MlpSpec::paper_demapper_logits().build(&mut rng);
