@@ -21,6 +21,10 @@
 //!   runs one ahead of any demapper (DESIGN.md §14);
 //! - [`ecc`] — outer codes used for retrain triggering: Hamming(7,4)
 //!   and a rate-1/2 convolutional code with hard/soft Viterbi;
+//! - [`frame`] — the link frame stage ([`frame::Framer`]): pilot
+//!   prefix plus uniform or convolutionally coded payload, mapping,
+//!   scripted channel and hard-decision scoring — the one frame recipe
+//!   the serving fabric and the online link share (DESIGN.md §10);
 //! - [`theory`] — closed-form AWGN baselines used to validate the
 //!   simulator;
 //! - [`linksim`] — the deterministic, parallel end-to-end BER engine,

@@ -30,33 +30,20 @@ use crate::retrain::Retrainer;
 use hybridem_comm::channel::Channel;
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::Demapper;
-use hybridem_comm::ecc::{ConvCode, Viterbi};
 use hybridem_comm::equalizer::{
     AdaptiveEqualizer, EqualizedDemapper, EqualizerConfig, EqualizerMode,
 };
-use hybridem_comm::metrics::BitwiseMiEstimator;
+use hybridem_comm::frame::Framer;
+pub use hybridem_comm::frame::Monitor;
 use hybridem_comm::trajectory::{ChannelState, Taps, Trajectory, TrajectoryChannel};
 use hybridem_fpga::demapper_accel::SoftDemapperConfig;
 use hybridem_fpga::graph::QuantizedGraph;
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::json::{FromJson, Json, JsonError};
-use hybridem_mathkit::rng::{Rng64, SplitMix64, Xoshiro256pp};
+use hybridem_mathkit::rng::SplitMix64;
 use hybridem_nn::Sequential;
 use hybridem_parallel::shard::ShardRunner;
 use std::sync::Arc;
-
-/// Which degradation evidence feeds the controller (paper §II-C
-/// proposes both).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Monitor {
-    /// Pilot-BER monitoring: the known pilot prefix of every frame is
-    /// compared against its hard decisions.
-    Pilot,
-    /// ECC monitoring: the payload carries a rate-1/2 convolutional
-    /// codeword and the Viterbi decoder's corrected-flip count is the
-    /// quality metric (no pilot overhead needed for detection).
-    Ecc,
-}
 
 /// What the adaptive receiver does when the controller fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -447,21 +434,13 @@ enum Receiver {
 pub struct OnlineLink {
     spec: OnlineLinkSpec,
     constellation: Constellation,
-    channel: TrajectoryChannel,
+    framer: Framer,
     receiver: Receiver,
-    rng: Xoshiro256pp,
-    code: ConvCode,
-    viterbi: Viterbi,
     frame: u64,
     log: Vec<FrameRecord>,
     // Per-frame scratch, reused so streaming allocates nothing after
     // the first frame (matches the linksim discipline, DESIGN.md §7).
-    tx_syms: Vec<usize>,
-    block: Vec<C32>,
     llrs: Vec<f32>,
-    tx_bits: Vec<u8>,
-    rx_bits: Vec<u8>,
-    info: Vec<u8>,
     // Pilot constellation points (the equalizer's supervised
     // reference; `block` holds channel output by the time it trains).
     pilot_pts: Vec<C32>,
@@ -470,13 +449,15 @@ pub struct OnlineLink {
 impl OnlineLink {
     fn build(spec: OnlineLinkSpec, constellation: Constellation, receiver: Receiver) -> Self {
         let p = &spec.params;
-        assert!(p.frame_symbols > 0, "frame length must be positive");
-        assert!(
-            p.pilot_symbols <= p.frame_symbols,
-            "pilots cannot exceed the frame"
-        );
         let m = constellation.bits_per_symbol();
-        assert!(m <= 16, "bits per symbol > 16 unsupported");
+        let framer = Framer::new(
+            spec.trajectory.clone(),
+            spec.seed,
+            p.frame_symbols,
+            p.pilot_symbols,
+            m,
+            p.monitor,
+        );
         let demapper_m = match &receiver {
             Receiver::Fixed(d) => d.bits_per_symbol(),
             Receiver::Adaptive(a) => a.hybrid.bits_per_symbol(),
@@ -487,13 +468,6 @@ impl OnlineLink {
             m, demapper_m,
             "constellation and demapper disagree on bits/symbol"
         );
-        let payload_bits = (p.frame_symbols - p.pilot_symbols) * m;
-        if p.monitor == Monitor::Ecc {
-            assert!(
-                payload_bits.is_multiple_of(2) && payload_bits / 2 > ConvCode::TAIL,
-                "ECC monitoring needs an even payload capacity above the tail"
-            );
-        }
         // An adaptive receiver whose controller never sees evidence
         // can never trigger — reject the silent misconfiguration.
         if matches!(receiver, Receiver::Adaptive(_)) && p.monitor == Monitor::Pilot {
@@ -512,32 +486,17 @@ impl OnlineLink {
                  estimator is data-aided from the pilot prefix)"
             );
         }
-        let info_len = if p.monitor == Monitor::Ecc {
-            payload_bits / 2 - ConvCode::TAIL
-        } else {
-            0
-        };
-        let n = p.frame_symbols;
-        let pilots = p.pilot_symbols;
-        let rng = Xoshiro256pp::stream(spec.seed, 0);
-        let channel = TrajectoryChannel::new(spec.trajectory.clone(), n);
+        let llrs = vec![0.0; p.frame_symbols * m];
+        let pilot_pts = vec![C32::zero(); p.pilot_symbols];
         Self {
             spec,
             constellation,
-            channel,
+            framer,
             receiver,
-            rng,
-            code: ConvCode::new(),
-            viterbi: Viterbi::new(),
             frame: 0,
             log: Vec::new(),
-            tx_syms: vec![0; n],
-            block: vec![C32::zero(); n],
-            llrs: vec![0.0; n * m],
-            tx_bits: vec![0; n * m],
-            rx_bits: vec![0; n * m],
-            info: vec![0; info_len],
-            pilot_pts: vec![C32::zero(); pilots],
+            llrs,
+            pilot_pts,
         }
     }
 
@@ -741,14 +700,12 @@ impl OnlineLink {
 
     /// The playback channel (frame position, current state).
     pub fn channel(&self) -> &TrajectoryChannel {
-        &self.channel
+        self.framer.channel()
     }
 
     /// Streams one frame; returns its log entry.
     pub fn step(&mut self) -> &FrameRecord {
         let frame = self.frame;
-        let m = self.constellation.bits_per_symbol();
-        let n = self.spec.params.frame_symbols;
         let p = self.spec.params.pilot_symbols;
 
         // 0. A matured retrain (or a backend switch decided on the
@@ -759,39 +716,18 @@ impl OnlineLink {
             Receiver::Switching(s) => std::mem::take(&mut s.just_switched),
         };
 
-        // 1. Frame construction: pilot prefix, then payload (uniform
-        // symbols, or a convolutional codeword under ECC monitoring).
-        for s in self.tx_syms.iter_mut().take(p) {
-            *s = (self.rng.next_u64() >> (64 - m)) as usize;
-        }
-        if self.spec.params.monitor == Monitor::Ecc {
-            self.rng.fill_bits(&mut self.info);
-            let coded = self.code.encode(&self.info);
-            for (k, chunk) in coded.chunks(m).enumerate() {
-                self.tx_syms[p + k] = hybridem_comm::bits::pack_bits(chunk);
-            }
-        } else {
-            for s in self.tx_syms.iter_mut().skip(p) {
-                *s = (self.rng.next_u64() >> (64 - m)) as usize;
-            }
-        }
-        for (i, (&u, y)) in self.tx_syms.iter().zip(self.block.iter_mut()).enumerate() {
-            *y = self.constellation.point(u);
-            for k in 0..m {
-                self.tx_bits[i * m + k] = self.constellation.bit(u, k);
-            }
-        }
-        self.channel.transmit(&mut self.block, &mut self.rng);
+        // 1. The frame stage: pilot prefix, payload, mapping, channel.
+        self.framer.transmit(&self.constellation);
 
         // 2. One block demap for the whole frame. The equalized
         // receiver first adapts its FIR stage in place — supervised
         // LMS over the known pilot prefix, blind CMA/DD-LMS over the
         // payload — then demaps the equalized samples.
         if let Receiver::Equalized(e) = &mut self.receiver {
-            for (pt, &u) in self.pilot_pts.iter_mut().zip(&self.tx_syms) {
+            for (pt, &u) in self.pilot_pts.iter_mut().zip(self.framer.pilots()) {
                 *pt = self.constellation.point(u);
             }
-            let (block, pilot_pts) = (&mut self.block, &self.pilot_pts);
+            let (block, pilot_pts) = (self.framer.received_mut(), &self.pilot_pts);
             let mode = e.demapper.with_equalizer(|eq| {
                 if p > 0 {
                     eq.train(&mut block[..p], pilot_pts);
@@ -800,7 +736,9 @@ impl OnlineLink {
                 eq.mode()
             });
             e.mode_trace.push(mode);
-            e.demapper.inner().demap_block(&self.block, &mut self.llrs);
+            e.demapper
+                .inner()
+                .demap_block(self.framer.received(), &mut self.llrs);
         } else {
             let demapper: &dyn Demapper = match &self.receiver {
                 Receiver::Fixed(d) => d.as_ref(),
@@ -808,26 +746,12 @@ impl OnlineLink {
                 Receiver::Switching(s) => s.current.as_ref(),
                 Receiver::Equalized(_) => unreachable!(),
             };
-            demapper.demap_block(&self.block, &mut self.llrs);
-        }
-        for (b, &l) in self.rx_bits.iter_mut().zip(self.llrs.iter()) {
-            *b = u8::from(l < 0.0);
+            demapper.demap_block(self.framer.received(), &mut self.llrs);
         }
 
         // 3. Frame statistics.
-        let count = |range: std::ops::Range<usize>| {
-            self.tx_bits[range.clone()]
-                .iter()
-                .zip(&self.rx_bits[range])
-                .filter(|(a, b)| a != b)
-                .count() as u64
-        };
-        let pilot_errors = count(0..p * m);
-        let payload_errors = count(p * m..n * m);
-        let mut mi = BitwiseMiEstimator::new();
-        for (&b, &l) in self.tx_bits[p * m..].iter().zip(&self.llrs[p * m..]) {
-            mi.push(b, l);
-        }
+        let score = self.framer.score(&self.llrs);
+        let mi = self.framer.payload_mi(&self.llrs);
 
         // 4. Monitor + trigger.
         let mut triggered = false;
@@ -844,9 +768,8 @@ impl OnlineLink {
             let mut sig = 0.0f64;
             let mut ysq = 0.0f64;
             let (mut cr, mut ci) = (0.0f64, 0.0f64);
-            for i in 0..p {
-                let x = self.constellation.point(self.tx_syms[i]);
-                let y = self.block[i];
+            for (&u, &y) in self.framer.pilots().iter().zip(self.framer.received()) {
+                let x = self.constellation.point(u);
                 sig += f64::from(x.re) * f64::from(x.re) + f64::from(x.im) * f64::from(x.im);
                 ysq += f64::from(y.re) * f64::from(y.re) + f64::from(y.im) * f64::from(y.im);
                 cr += f64::from(y.re) * f64::from(x.re) + f64::from(y.im) * f64::from(x.im);
@@ -859,33 +782,31 @@ impl OnlineLink {
         }
         if let Receiver::Adaptive(a) = &mut self.receiver {
             match self.spec.params.monitor {
-                Monitor::Pilot => {
-                    if p > 0 {
-                        a.controller
-                            .observe_pilot_bits(&self.tx_bits[..p * m], &self.rx_bits[..p * m]);
-                    }
-                }
-                Monitor::Ecc => {
-                    let outcome = self
-                        .viterbi
-                        .decode_soft(&self.code, &self.llrs[p * m..n * m]);
-                    a.controller
-                        .observe_ecc(outcome.corrected, (n - p) as u64 * m as u64);
-                }
+                Monitor::Pilot => a
+                    .controller
+                    .observe_pilot_errors(score.pilot_errors, score.pilot_bits),
+                Monitor::Ecc => a
+                    .controller
+                    .observe_ecc(self.framer.ecc_corrected(&self.llrs), score.payload_bits),
             }
             if a.pending.is_none() && a.controller.recommendation() == Recommendation::Retrain {
                 triggered = true;
-                a.on_trigger(frame, &self.constellation, &self.channel, &self.spec.params);
+                a.on_trigger(
+                    frame,
+                    &self.constellation,
+                    self.framer.channel(),
+                    &self.spec.params,
+                );
             }
         }
 
         self.log.push(FrameRecord {
             frame,
-            payload_bits: ((n - p) * m) as u64,
-            payload_bit_errors: payload_errors,
-            pilot_bits: (p * m) as u64,
-            pilot_bit_errors: pilot_errors,
-            mi: mi.mi(),
+            payload_bits: score.payload_bits,
+            payload_bit_errors: score.payload_errors,
+            pilot_bits: score.pilot_bits,
+            pilot_bit_errors: score.pilot_errors,
+            mi,
             triggered,
             swapped,
         });

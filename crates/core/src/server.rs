@@ -27,23 +27,25 @@
 //! worker count and any batch size — pinned by the root
 //! `linkserver` integration test.
 //!
-//! Steady state allocates nothing (extends the PR 4 counting-allocator
+//! Every session builds and scores its frames through one
+//! [`Framer`] — the frame recipe [`crate::runtime::OnlineLink`] runs
+//! too — so a served frame and an online-link frame with the same seed
+//! and trajectory are the same frame.
+//!
+//! Steady state allocates nothing (extends the counting-allocator
 //! contract to the gather/scatter path): session buffers, the plan
 //! scratch, the gather buffers and the pool's deques all reuse their
 //! capacity after a warmup round. The one documented exception is ECC
-//! monitoring — [`ConvCode::encode`] / [`Viterbi::decode_soft`]
+//! monitoring — the convolutional encoder and the Viterbi decoder
 //! allocate internally, so the no-alloc contract is stated (and
 //! tested) for pilot-monitored sessions.
 
-use crate::runtime::Monitor;
-use hybridem_comm::channel::Channel;
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::Demapper;
-use hybridem_comm::ecc::{ConvCode, Viterbi};
-use hybridem_comm::trajectory::{Trajectory, TrajectoryChannel};
+use hybridem_comm::frame::{Framer, Monitor};
+use hybridem_comm::trajectory::Trajectory;
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::json::{FromJson, Json, JsonError};
-use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 use hybridem_parallel::{num_threads, StealPool};
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -317,85 +319,31 @@ struct Backend {
     demapper: Arc<dyn Demapper>,
 }
 
-/// One serving session: private RNG, scripted channel, reused frame
-/// buffers, integer counters. Lives behind a slot `Mutex` so the
-/// parallel phases can lock exactly the sessions of their chunk
-/// (chunks never share a session, so the locks are uncontended).
+/// One serving session: its frame stage, reused LLR buffer and
+/// integer counters. Lives behind a slot `Mutex` so the parallel
+/// phases can lock exactly the sessions of their chunk (chunks never
+/// share a session, so the locks are uncontended).
 struct Session {
     backend: u32,
-    pilot_symbols: usize,
-    monitor: Monitor,
-    rng: Xoshiro256pp,
-    channel: TrajectoryChannel,
-    code: ConvCode,
-    viterbi: Viterbi,
+    framer: Framer,
     pending: u32,
     stats: SessionStats,
-    // Reused per-frame scratch (same discipline as OnlineLink): no
-    // allocation after construction for pilot-monitored sessions.
-    tx_syms: Vec<usize>,
-    block: Vec<C32>,
     llrs: Vec<f32>,
-    tx_bits: Vec<u8>,
-    info: Vec<u8>,
 }
 
 impl Session {
-    /// Builds the next frame into `self.block`: pilot prefix, payload
-    /// (uniform symbols, or a convolutional codeword under ECC
-    /// monitoring), mapping, channel.
-    fn gen_frame(&mut self, constellation: &Constellation) {
-        let m = constellation.bits_per_symbol();
-        let p = self.pilot_symbols;
-        for s in self.tx_syms.iter_mut().take(p) {
-            *s = (self.rng.next_u64() >> (64 - m)) as usize;
-        }
-        if self.monitor == Monitor::Ecc {
-            self.rng.fill_bits(&mut self.info);
-            let coded = self.code.encode(&self.info);
-            for (k, chunk) in coded.chunks(m).enumerate() {
-                self.tx_syms[p + k] = hybridem_comm::bits::pack_bits(chunk);
-            }
-        } else {
-            for s in self.tx_syms.iter_mut().skip(p) {
-                *s = (self.rng.next_u64() >> (64 - m)) as usize;
-            }
-        }
-        for (i, (&u, y)) in self.tx_syms.iter().zip(self.block.iter_mut()).enumerate() {
-            *y = constellation.point(u);
-            for k in 0..m {
-                self.tx_bits[i * m + k] = constellation.bit(u, k);
-            }
-        }
-        self.channel.transmit(&mut self.block, &mut self.rng);
-    }
-
     /// Consumes one frame's LLRs (wherever they were demapped to):
-    /// hard decisions against the transmitted bits, monitor counters,
-    /// queue decrement.
-    fn finish_frame(&mut self, llrs: &[f32], m: usize) {
-        let n = self.block.len();
-        let p = self.pilot_symbols;
-        debug_assert_eq!(llrs.len(), n * m);
-        let mut pilot_errors = 0u64;
-        let mut payload_errors = 0u64;
-        for (i, (&b, &l)) in self.tx_bits.iter().zip(llrs).enumerate() {
-            let err = u64::from(u8::from(l < 0.0) != b);
-            if i < p * m {
-                pilot_errors += err;
-            } else {
-                payload_errors += err;
-            }
-        }
-        if self.monitor == Monitor::Ecc {
-            let outcome = self.viterbi.decode_soft(&self.code, &llrs[p * m..n * m]);
-            self.stats.ecc_corrected += outcome.corrected;
+    /// frame score, monitor counters, queue decrement.
+    fn finish_frame(&mut self, llrs: &[f32]) {
+        let score = self.framer.score(llrs);
+        if self.framer.monitor() == Monitor::Ecc {
+            self.stats.ecc_corrected += self.framer.ecc_corrected(llrs);
         }
         self.stats.frames += 1;
-        self.stats.payload_bits += ((n - p) * m) as u64;
-        self.stats.payload_bit_errors += payload_errors;
-        self.stats.pilot_bits += (p * m) as u64;
-        self.stats.pilot_bit_errors += pilot_errors;
+        self.stats.payload_bits += score.payload_bits;
+        self.stats.payload_bit_errors += score.payload_errors;
+        self.stats.pilot_bits += score.pilot_bits;
+        self.stats.pilot_bit_errors += score.pilot_errors;
         self.pending -= 1;
     }
 
@@ -403,11 +351,10 @@ impl Session {
     /// session's own buffers — no gather copy, so the per-link
     /// baseline the saturation bench measures is honest.
     fn serve_unbatched(&mut self, constellation: &Constellation, demapper: &dyn Demapper) {
-        self.gen_frame(constellation);
-        let llrs = std::mem::take(&mut self.llrs);
-        let mut llrs = llrs;
-        demapper.demap_block(&self.block, &mut llrs);
-        self.finish_frame(&llrs, constellation.bits_per_symbol());
+        self.framer.transmit(constellation);
+        let mut llrs = std::mem::take(&mut self.llrs);
+        demapper.demap_block(self.framer.received(), &mut llrs);
+        self.finish_frame(&llrs);
         self.llrs = llrs;
     }
 }
@@ -561,34 +508,20 @@ impl LinkServer {
             .get(cfg.backend.0 as usize)
             .expect("unknown backend id");
         let m = backend.constellation.bits_per_symbol();
-        let n = cfg.frame_symbols;
-        assert!(n > 0, "frame length must be positive");
-        assert!(cfg.pilot_symbols <= n, "pilots cannot exceed the frame");
-        let payload_bits = (n - cfg.pilot_symbols) * m;
-        let info_len = if cfg.monitor == Monitor::Ecc {
-            assert!(
-                payload_bits.is_multiple_of(2) && payload_bits / 2 > ConvCode::TAIL,
-                "ECC monitoring needs an even payload capacity above the tail"
-            );
-            payload_bits / 2 - ConvCode::TAIL
-        } else {
-            0
-        };
+        let framer = Framer::new(
+            cfg.trajectory,
+            cfg.seed,
+            cfg.frame_symbols,
+            cfg.pilot_symbols,
+            m,
+            cfg.monitor,
+        );
         let session = Session {
             backend: cfg.backend.0,
-            pilot_symbols: cfg.pilot_symbols,
-            monitor: cfg.monitor,
-            rng: Xoshiro256pp::stream(cfg.seed, 0),
-            channel: TrajectoryChannel::new(cfg.trajectory, n),
-            code: ConvCode::new(),
-            viterbi: Viterbi::new(),
+            framer,
             pending: 0,
             stats: SessionStats::default(),
-            tx_syms: vec![0; n],
-            block: vec![C32::zero(); n],
-            llrs: vec![0.0; n * m],
-            tx_bits: vec![0; n * m],
-            info: vec![0; info_len],
+            llrs: vec![0.0; cfg.frame_symbols * m],
         };
         let index = match self.free.pop() {
             Some(i) => {
@@ -609,9 +542,8 @@ impl LinkServer {
         }
     }
 
-    fn slot_mut(&mut self, id: SessionId) -> Result<&mut Slot, SessionError> {
-        let slot = self
-            .slots
+    fn slot_mut(slots: &mut [Slot], id: SessionId) -> Result<&mut Slot, SessionError> {
+        let slot = slots
             .get_mut(id.index as usize)
             .ok_or(SessionError::Stale)?;
         if slot.generation != id.generation || slot.session.is_none() {
@@ -630,7 +562,7 @@ impl LinkServer {
     /// the aggregate's conservation invariant would leak on every
     /// close.
     pub fn close_session(&mut self, id: SessionId) -> Result<SessionStats, SessionError> {
-        let slot = self.slot_mut(id)?;
+        let slot = Self::slot_mut(&mut self.slots, id)?;
         let session = slot.session.take().expect("checked occupied");
         slot.generation = slot.generation.wrapping_add(1);
         let session = session.into_inner().unwrap();
@@ -644,13 +576,13 @@ impl LinkServer {
 
     /// A session's current counters.
     pub fn session_stats(&mut self, id: SessionId) -> Result<SessionStats, SessionError> {
-        let slot = self.slot_mut(id)?;
+        let slot = Self::slot_mut(&mut self.slots, id)?;
         Ok(slot.session.as_mut().unwrap().get_mut().unwrap().stats)
     }
 
     /// Frames a session has queued.
     pub fn pending(&mut self, id: SessionId) -> Result<u32, SessionError> {
-        let slot = self.slot_mut(id)?;
+        let slot = Self::slot_mut(&mut self.slots, id)?;
         Ok(slot.session.as_mut().unwrap().get_mut().unwrap().pending)
     }
 
@@ -663,7 +595,7 @@ impl LinkServer {
         // The slab check runs before any counter moves: a stale handle
         // must not touch the slot's current tenant (its shed/submit
         // counts belong to a different session).
-        let slot = self.slot_mut(id)?;
+        let slot = Self::slot_mut(&mut self.slots, id)?;
         let s = slot.session.as_mut().unwrap().get_mut().unwrap();
         s.stats.submitted_frames += u64::from(frames);
         if frames > cap - s.pending {
@@ -695,19 +627,11 @@ impl LinkServer {
             .backends
             .get(backend.0 as usize)
             .expect("unknown backend id");
-        let to_points = to.constellation.points().to_vec();
-        let slot = self
-            .slots
-            .get_mut(id.index as usize)
-            .ok_or(SessionError::Stale)?;
-        if slot.generation != id.generation || slot.session.is_none() {
-            return Err(SessionError::Stale);
-        }
+        let slot = Self::slot_mut(&mut self.slots, id)?;
         let s = slot.session.as_mut().unwrap().get_mut().unwrap();
-        let from = &self.backends[s.backend as usize];
         assert_eq!(
-            from.constellation.points(),
-            &to_points[..],
+            self.backends[s.backend as usize].constellation.points(),
+            to.constellation.points(),
             "backend switch must preserve the transmit constellation"
         );
         s.backend = backend.0;
@@ -774,7 +698,7 @@ impl LinkServer {
                 }
                 order.push(i as u32);
                 offsets.push((sym, bits));
-                sym += s.block.len();
+                sym += s.framer.frame_symbols();
                 bits += s.llrs.len();
             }
             let mut c = seg_start;
@@ -814,7 +738,6 @@ impl LinkServer {
         pool.run(chunks.len(), |ci| {
             let c = chunks[ci];
             let backend = &backends[c.backend as usize];
-            let m = backend.constellation.bits_per_symbol();
             if c.end - c.start == 1 {
                 lock(c.start).serve_unbatched(&backend.constellation, backend.demapper.as_ref());
                 return;
@@ -824,9 +747,10 @@ impl LinkServer {
             // chunk per session, prefix-sum offsets).
             for (k, off) in offsets.iter().enumerate().take(c.end).skip(c.start) {
                 let mut s = lock(k);
-                s.gen_frame(&backend.constellation);
-                let dst = unsafe { gather.slice_mut(off.0, s.block.len()) };
-                dst.copy_from_slice(&s.block);
+                s.framer.transmit(&backend.constellation);
+                let block = s.framer.received();
+                let dst = unsafe { gather.slice_mut(off.0, block.len()) };
+                dst.copy_from_slice(block);
             }
             let sym_end = offsets.get(c.end).map_or(total_sym, |o| o.0);
             let bit_end = offsets.get(c.end).map_or(total_bits, |o| o.1);
@@ -841,7 +765,7 @@ impl LinkServer {
             for (k, off) in offsets.iter().enumerate().take(c.end).skip(c.start) {
                 let mut s = lock(k);
                 let span = unsafe { gathered_llrs.slice_mut(off.1, s.llrs.len()) };
-                s.finish_frame(span, m);
+                s.finish_frame(span);
             }
         });
         *rounds += 1;

@@ -10,15 +10,12 @@
 //! from its own counter-derived RNG stream. Running on 1 thread or 64
 //! produces bit-identical results.
 //!
-//! - [`par_map`] / [`par_map_indexed`] — parallel map over a slice;
-//! - [`par_chunks_map`] — parallel map over contiguous chunks;
 //! - [`par_for_each_mut`] — parallel in-place mutation of independent
 //!   element states;
-//! - [`montecarlo::run`] — deterministic parallel Monte-Carlo with
-//!   per-task RNG streams and associative reduction;
-//! - [`montecarlo::RoundRunner`] — the resumable round-based variant
-//!   behind the campaign engine's statistical early stopping
-//!   (DESIGN.md §8);
+//! - [`montecarlo::RoundRunner`] — deterministic parallel Monte-Carlo
+//!   in resumable rounds, with per-task RNG streams and task-order
+//!   folds: the engine behind the link simulator and the campaign
+//!   engine's statistical early stopping (DESIGN.md §8);
 //! - [`shard::ShardRunner`] — fully independent stateful shards (one
 //!   online link per shard) stepped in parallel and folded in shard
 //!   order (DESIGN.md §10);
@@ -36,8 +33,8 @@ pub mod shard;
 pub mod steal;
 pub mod util;
 
-pub use montecarlo::{run as montecarlo_run, MonteCarloPlan, RoundRunner};
-pub use par_iter::{par_chunks_map, par_for_each_mut, par_map, par_map_indexed};
+pub use montecarlo::{MonteCarloPlan, RoundRunner};
+pub use par_iter::par_for_each_mut;
 pub use shard::ShardRunner;
 pub use steal::StealPool;
 pub use util::num_threads;

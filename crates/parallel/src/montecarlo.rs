@@ -8,19 +8,17 @@
 //! `Xoshiro256pp::stream(seed, i)`, and partial results are reduced in
 //! task order. The outcome is a pure function of `(plan, seed)`.
 //!
-//! Two execution modes share that machinery:
-//!
-//! - [`run`] — one-shot: all trials in a single pass;
-//! - [`RoundRunner`] — resumable: trials arrive in caller-chosen
-//!   **rounds**, each task keeping its accumulator and RNG stream
-//!   alive between rounds. The state after rounds `r₁, …, r_k` is a
-//!   pure function of `(tasks, seed, r₁ … r_k)` — independent of
-//!   thread count and of whether later rounds ever run — which is what
-//!   makes statistical early stopping deterministic: a caller that
-//!   stops after round `k` obtains exactly the `k`-round prefix of the
-//!   uncapped run (DESIGN.md §8). (Collapsing rounds into one bigger
-//!   round additionally preserves results whenever the per-task trial
-//!   splits line up, e.g. round sizes divisible by the task count.)
+//! [`RoundRunner`] executes such a plan resumably: trials arrive in
+//! caller-chosen **rounds**, each task keeping its accumulator and RNG
+//! stream alive between rounds. The state after rounds `r₁, …, r_k` is
+//! a pure function of `(tasks, seed, r₁ … r_k)` — independent of
+//! thread count and of whether later rounds ever run — which is what
+//! makes statistical early stopping deterministic: a caller that stops
+//! after round `k` obtains exactly the `k`-round prefix of the uncapped
+//! run (DESIGN.md §8). A one-shot run is a single round. (Collapsing
+//! rounds into one bigger round additionally preserves results
+//! whenever the per-task trial splits line up, e.g. round sizes
+//! divisible by the task count.)
 
 use crate::par_iter::par_for_each_mut;
 use hybridem_mathkit::rng::Xoshiro256pp;
@@ -69,28 +67,6 @@ impl MonteCarloPlan {
         let extra = self.trials % self.tasks as u64;
         base + u64::from((i as u64) < extra)
     }
-}
-
-/// Runs the plan: each task folds `body` over its trials into a fresh
-/// accumulator from `init`, partial accumulators are combined with
-/// `merge` in task order.
-///
-/// `body(acc, rng)` performs **one trial**. Implemented as a
-/// [`RoundRunner`] executing a single round, so one-shot and
-/// incremental execution can never drift apart.
-pub fn run<A, I, B, M>(plan: &MonteCarloPlan, init: I, body: B, merge: M) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    B: Fn(&mut A, &mut Xoshiro256pp) + Sync,
-    M: Fn(&mut A, A),
-{
-    if plan.tasks == 0 {
-        return init();
-    }
-    let mut runner = RoundRunner::new(plan.tasks, plan.seed, init);
-    runner.run_round(plan.trials, body);
-    runner.into_merged(merge)
 }
 
 struct TaskState<A> {
@@ -196,17 +172,6 @@ impl<A: Send> RoundRunner<A> {
         }
         total
     }
-
-    /// Consumes the runner, merging the task accumulators by value in
-    /// task order (the reduction used by [`run`]).
-    pub fn into_merged<M: Fn(&mut A, A)>(self, merge: M) -> A {
-        let mut iter = self.states.into_iter();
-        let mut total = iter.next().expect("RoundRunner has at least one task").acc;
-        for s in iter {
-            merge(&mut total, s.acc);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -215,55 +180,49 @@ mod tests {
     use hybridem_mathkit::rng::Rng64;
     use hybridem_mathkit::stats::ErrorCounter;
 
-    fn pi_estimate(plan: &MonteCarloPlan) -> f64 {
-        let hits = run(
-            plan,
-            || 0u64,
-            |acc, rng| {
-                let x = rng.next_f64();
-                let y = rng.next_f64();
-                if x * x + y * y <= 1.0 {
-                    *acc += 1;
-                }
-            },
-            |a, b| *a += b,
-        );
-        4.0 * hits as f64 / plan.trials as f64
+    fn pi_trial(acc: &mut u64, rng: &mut Xoshiro256pp) {
+        let x = rng.next_f64();
+        let y = rng.next_f64();
+        if x * x + y * y <= 1.0 {
+            *acc += 1;
+        }
+    }
+
+    /// Quarter-circle hits of a `tasks`-task runner over `rounds`.
+    fn pi_hits(tasks: u32, seed: u64, rounds: &[u64]) -> u64 {
+        let mut r = RoundRunner::new(tasks, seed, || 0u64);
+        for &t in rounds {
+            r.run_round(t, pi_trial);
+        }
+        r.fold(|a| *a, |a, b| *a += b)
     }
 
     #[test]
     fn estimates_pi() {
-        let plan = MonteCarloPlan::with_tasks(1_000_000, 16, 42);
-        let pi = pi_estimate(&plan);
+        let pi = 4.0 * pi_hits(16, 42, &[1_000_000]) as f64 / 1e6;
         assert!((pi - std::f64::consts::PI).abs() < 0.01, "pi ≈ {pi}");
     }
 
     #[test]
     fn deterministic_replay() {
-        let plan = MonteCarloPlan::with_tasks(100_000, 8, 7);
-        assert_eq!(pi_estimate(&plan).to_bits(), pi_estimate(&plan).to_bits());
+        assert_eq!(pi_hits(8, 7, &[100_000]), pi_hits(8, 7, &[100_000]));
     }
 
     #[test]
     fn independent_of_thread_count() {
-        // Same plan evaluated with the scheduler forced to one thread
-        // must agree bit-for-bit with the parallel run. We emulate the
-        // one-thread case by folding tasks sequentially by hand.
+        // A round evaluated on the worker threads must agree with the
+        // one-thread case, emulated by walking the task streams in task
+        // order by hand with the plan's trial split.
         let plan = MonteCarloPlan::with_tasks(50_000, 12, 99);
-        let parallel = pi_estimate(&plan);
-        let mut hits = 0u64;
+        let parallel = pi_hits(plan.tasks, plan.seed, &[plan.trials]);
+        let mut sequential = 0u64;
         for i in 0..plan.tasks {
-            let mut rng = Xoshiro256pp::stream(plan.seed, i as u64);
+            let mut rng = Xoshiro256pp::stream(plan.seed, u64::from(i));
             for _ in 0..plan.trials_of_task(i) {
-                let x = rng.next_f64();
-                let y = rng.next_f64();
-                if x * x + y * y <= 1.0 {
-                    hits += 1;
-                }
+                pi_trial(&mut sequential, &mut rng);
             }
         }
-        let sequential = 4.0 * hits as f64 / plan.trials as f64;
-        assert_eq!(parallel.to_bits(), sequential.to_bits());
+        assert_eq!(parallel, sequential);
     }
 
     #[test]
@@ -278,15 +237,15 @@ mod tests {
     #[test]
     fn works_with_error_counter() {
         // Simulate a Bernoulli(0.1) error process.
-        let plan = MonteCarloPlan::with_tasks(200_000, 16, 5);
-        let counter = run(
-            &plan,
-            ErrorCounter::new,
-            |acc, rng| acc.push(rng.next_f64() < 0.1),
-            |a, b| a.merge(&b),
-        );
+        let mut runner = RoundRunner::new(16, 5, ErrorCounter::new);
+        runner.run_round(200_000, |acc, rng| acc.push(rng.next_f64() < 0.1));
+        let counter = runner.fold(|c| *c, |a, b| a.merge(&b));
         assert_eq!(counter.trials(), 200_000);
         assert!(counter.consistent_with(0.1, 3.9), "rate {}", counter.rate());
+        assert_eq!(runner.rounds(), 1);
+        assert_eq!(runner.trials(), 200_000);
+        assert_eq!(runner.tasks(), 16);
+        assert_eq!(runner.seed(), 5);
     }
 
     #[test]
@@ -295,41 +254,11 @@ mod tests {
         // trial count, and stopping after round two must equal the
         // two-round prefix of the three-round run — the early-stopping
         // determinism argument in miniature.
-        let hits = |rounds: &[u64]| {
-            let mut r = RoundRunner::new(8, 33, || 0u64);
-            for &t in rounds {
-                r.run_round(t, |acc, rng| {
-                    let x = rng.next_f64();
-                    let y = rng.next_f64();
-                    if x * x + y * y <= 1.0 {
-                        *acc += 1;
-                    }
-                });
-            }
-            r.fold(|a| *a, |a, b| *a += b)
-        };
-        assert_eq!(hits(&[1000, 4000, 16000]), hits(&[21000]));
-        assert_eq!(hits(&[1000, 4000]), hits(&[5000]));
-    }
-
-    #[test]
-    fn round_runner_matches_run() {
-        let plan = MonteCarloPlan::with_tasks(40_000, 16, 5);
-        let via_run = run(
-            &plan,
-            ErrorCounter::new,
-            |acc, rng| acc.push(rng.next_f64() < 0.25),
-            |a, b| a.merge(&b),
+        assert_eq!(
+            pi_hits(8, 33, &[1000, 4000, 16000]),
+            pi_hits(8, 33, &[21000])
         );
-        let mut runner = RoundRunner::new(plan.tasks, plan.seed, ErrorCounter::new);
-        runner.run_round(plan.trials, |acc, rng| acc.push(rng.next_f64() < 0.25));
-        let via_rounds = runner.fold(|c| *c, |a, b| a.merge(&b));
-        assert_eq!(via_run.errors(), via_rounds.errors());
-        assert_eq!(via_run.trials(), via_rounds.trials());
-        assert_eq!(runner.rounds(), 1);
-        assert_eq!(runner.trials(), 40_000);
-        assert_eq!(runner.tasks(), 16);
-        assert_eq!(runner.seed(), 5);
+        assert_eq!(pi_hits(8, 33, &[1000, 4000]), pi_hits(8, 33, &[5000]));
     }
 
     #[test]
@@ -350,11 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_trials_merge_only_inits() {
+    fn zero_trials_fold_only_inits() {
         // 4 tasks, 0 trials each: body never runs, the four init
-        // accumulators (17 each) are summed by the merge.
-        let plan = MonteCarloPlan::with_tasks(0, 4, 1);
-        let v = run(&plan, || 17u32, |_, _| unreachable!(), |a, b| *a += b);
-        assert_eq!(v, 68);
+        // accumulators (17 each) are summed by the fold.
+        let mut r = RoundRunner::new(4, 1, || 17u32);
+        r.run_round(0, |_, _| unreachable!());
+        assert_eq!(r.fold(|a| *a, |a, b| *a += b), 68);
     }
 }

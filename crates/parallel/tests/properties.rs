@@ -1,39 +1,37 @@
 //! Property-based tests of the parallel substrate: order preservation,
 //! determinism, and exact work accounting.
 
-use hybridem_mathkit::rng::Rng64;
-use hybridem_parallel::montecarlo::{run, MonteCarloPlan};
-use hybridem_parallel::par_iter::{par_chunks_map, par_map, par_map_indexed};
+use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
+use hybridem_parallel::montecarlo::{MonteCarloPlan, RoundRunner};
+use hybridem_parallel::par_iter::par_for_each_mut;
 use hybridem_parallel::util::split_ranges;
 use hybridem_parallel::StealPool;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// A quarter-of-the-draws-hit trial, so accumulators depend on the
+/// exact stream positions.
+fn trial(acc: &mut u64, rng: &mut Xoshiro256pp) {
+    if rng.next_f64() < 0.25 {
+        *acc += 1;
+    }
+}
+
+fn hits(tasks: u32, seed: u64, rounds: &[u64]) -> u64 {
+    let mut r = RoundRunner::new(tasks, seed, || 0u64);
+    for &t in rounds {
+        r.run_round(t, trial);
+    }
+    r.fold(|a| *a, |a, b| *a += b)
+}
+
 proptest! {
     #[test]
-    fn par_map_equals_sequential(xs in proptest::collection::vec(any::<i32>(), 0..500)) {
-        let seq: Vec<i64> = xs.iter().map(|&x| x as i64 * 3 - 7).collect();
-        let par = par_map(&xs, |&x| x as i64 * 3 - 7);
+    fn par_for_each_mut_equals_sequential(xs in proptest::collection::vec(any::<i32>(), 0..500)) {
+        let seq: Vec<i64> = xs.iter().enumerate().map(|(i, &x)| x as i64 * 3 - i as i64).collect();
+        let mut par: Vec<i64> = xs.iter().map(|&x| x as i64).collect();
+        par_for_each_mut(&mut par, |i, x| *x = *x * 3 - i as i64);
         prop_assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn par_map_indexed_order(n in 0usize..300) {
-        let xs = vec![1u64; n];
-        let out = par_map_indexed(&xs, |i, &x| i as u64 * 10 + x);
-        for (i, v) in out.iter().enumerate() {
-            prop_assert_eq!(*v, i as u64 * 10 + 1);
-        }
-    }
-
-    #[test]
-    fn chunks_cover_input(xs in proptest::collection::vec(any::<u8>(), 1..200), chunk in 1usize..40) {
-        let lens = par_chunks_map(&xs, chunk, |_, c| c.len());
-        prop_assert_eq!(lens.iter().sum::<usize>(), xs.len());
-        // All full except possibly the last.
-        for &l in &lens[..lens.len().saturating_sub(1)] {
-            prop_assert_eq!(l, chunk);
-        }
     }
 
     #[test]
@@ -50,31 +48,44 @@ proptest! {
     }
 
     #[test]
-    fn montecarlo_result_independent_of_task_count(
-        trials in 1u64..5000, tasks_a in 1u32..16, tasks_b in 1u32..16, seed in any::<u64>()
+    fn round_runner_is_independent_of_thread_count(
+        trials in 0u64..5000, tasks in 1u32..16, seed in any::<u64>()
     ) {
-        // Different task counts give different (but individually
-        // reproducible) streams; the *same* plan must always replay.
-        let go = |tasks: u32| {
-            let plan = MonteCarloPlan::with_tasks(trials, tasks, seed);
-            run(&plan, || 0u64, |acc, rng| {
-                if rng.next_f64() < 0.25 {
-                    *acc += 1;
-                }
-            }, |a, b| *a += b)
-        };
-        prop_assert_eq!(go(tasks_a), go(tasks_a));
-        prop_assert_eq!(go(tasks_b), go(tasks_b));
-        // And both estimates agree statistically (loose bound).
-        let (a, b) = (go(tasks_a) as f64 / trials as f64, go(tasks_b) as f64 / trials as f64);
-        prop_assert!((a - b).abs() < 0.25 + 3.0 / (trials as f64).sqrt());
+        // The worker threads must reproduce the one-thread case: every
+        // task stream walked in task order with the plan's trial split.
+        let plan = MonteCarloPlan::with_tasks(trials, tasks, seed);
+        let mut sequential = 0u64;
+        for i in 0..tasks {
+            let mut rng = Xoshiro256pp::stream(seed, u64::from(i));
+            for _ in 0..plan.trials_of_task(i) {
+                trial(&mut sequential, &mut rng);
+            }
+        }
+        prop_assert_eq!(hits(tasks, seed, &[trials]), sequential);
     }
 
     #[test]
-    fn montecarlo_trial_count_exact(trials in 0u64..10_000, tasks in 1u32..64, seed in any::<u64>()) {
-        let plan = MonteCarloPlan::with_tasks(trials, tasks, seed);
-        let counted = run(&plan, || 0u64, |acc, _| *acc += 1, |a, b| *a += b);
-        prop_assert_eq!(counted, trials);
+    fn aligned_rounds_equal_one_round(
+        per_task in proptest::collection::vec(0u64..200, 1..5), tasks in 1u32..16, seed in any::<u64>()
+    ) {
+        // Rounds whose sizes are multiples of the task count split
+        // evenly, so running them one by one equals one round of the
+        // summed size.
+        let rounds: Vec<u64> = per_task.iter().map(|&c| c * u64::from(tasks)).collect();
+        prop_assert_eq!(hits(tasks, seed, &rounds), hits(tasks, seed, &[rounds.iter().sum()]));
+    }
+
+    #[test]
+    fn round_runner_trial_count_exact(
+        rounds in proptest::collection::vec(0u64..3000, 0..4), tasks in 1u32..64, seed in any::<u64>()
+    ) {
+        let mut r = RoundRunner::new(tasks, seed, || 0u64);
+        for &t in &rounds {
+            r.run_round(t, |acc, _| *acc += 1);
+        }
+        let total: u64 = rounds.iter().sum();
+        prop_assert_eq!(r.fold(|a| *a, |a, b| *a += b), total);
+        prop_assert_eq!(r.trials(), total);
     }
 
     #[test]

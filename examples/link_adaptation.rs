@@ -10,6 +10,7 @@
 use hybridem::comm::channel::{Channel, ChannelChain};
 use hybridem::comm::demapper::Demapper;
 use hybridem::comm::ecc::{ConvCode, Viterbi};
+use hybridem::comm::metrics::count_bit_errors;
 use hybridem::core::adapt::{AdaptThresholds, AdaptationController, Recommendation};
 use hybridem::core::config::SystemConfig;
 use hybridem::core::pipeline::HybridPipeline;
@@ -45,7 +46,10 @@ fn main() {
         for frame in 0..40 {
             let (pilot_tx, pilot_rx, corrected, code_bits) =
                 transmit_frame(&pipe, &mut channel, &code, &viterbi, &mut rng);
-            controller.observe_pilot_bits(&pilot_tx, &pilot_rx);
+            controller.observe_pilot_errors(
+                count_bit_errors(&pilot_tx, &pilot_rx),
+                pilot_tx.len() as u64,
+            );
             controller.observe_ecc(corrected, code_bits);
 
             if controller.recommendation() == Recommendation::Retrain {

@@ -4,6 +4,7 @@
 
 use hybridem::comm::channel::{Channel, ChannelChain};
 use hybridem::comm::demapper::Demapper;
+use hybridem::comm::metrics::count_bit_errors;
 use hybridem::core::adapt::{AdaptThresholds, AdaptationController, Recommendation};
 use hybridem::core::config::SystemConfig;
 use hybridem::core::pipeline::HybridPipeline;
@@ -21,14 +22,14 @@ fn trained(snr_db: f64) -> HybridPipeline {
     pipe
 }
 
-/// Sends pilot frames through the channel, returns (tx, rx) bits
-/// decided by the pipeline's hybrid demapper.
+/// Sends pilot frames through the channel, returns the (errors, bits)
+/// of the pipeline's hybrid demapper's hard decisions.
 fn pilot_round(
     pipe: &HybridPipeline,
     channel: &mut dyn Channel,
     rng: &mut Xoshiro256pp,
     n_symbols: usize,
-) -> (Vec<u8>, Vec<u8>) {
+) -> (u64, u64) {
     let constellation = pipe.constellation();
     let hybrid = pipe.hybrid_demapper().unwrap();
     let m = constellation.bits_per_symbol();
@@ -44,7 +45,7 @@ fn pilot_round(
     channel.transmit(&mut syms, rng);
     let mut rx = vec![0u8; n_symbols * m];
     hybrid.hard_decide_block(&syms, &mut rx);
-    (tx, rx)
+    (count_bit_errors(&tx, &rx), tx.len() as u64)
 }
 
 #[test]
@@ -58,8 +59,8 @@ fn table1_loop_detect_retrain_recover() {
     // Healthy channel: no trigger.
     let mut clean = ChannelChain::phase_then_awgn(0.0, es);
     for _ in 0..4 {
-        let (tx, rx) = pilot_round(&pipe, &mut clean, &mut rng, 512);
-        controller.observe_pilot_bits(&tx, &rx);
+        let (errors, bits) = pilot_round(&pipe, &mut clean, &mut rng, 512);
+        controller.observe_pilot_errors(errors, bits);
     }
     assert_eq!(controller.recommendation(), Recommendation::Continue);
     assert!(controller.is_healthy());
@@ -69,8 +70,8 @@ fn table1_loop_detect_retrain_recover() {
     let mut rotated = ChannelChain::phase_then_awgn(theta, es);
     let mut triggered = false;
     for _ in 0..8 {
-        let (tx, rx) = pilot_round(&pipe, &mut rotated, &mut rng, 512);
-        controller.observe_pilot_bits(&tx, &rx);
+        let (errors, bits) = pilot_round(&pipe, &mut rotated, &mut rng, 512);
+        controller.observe_pilot_errors(errors, bits);
         if controller.recommendation() == Recommendation::Retrain {
             triggered = true;
             break;
@@ -92,8 +93,8 @@ fn table1_loop_detect_retrain_recover() {
     controller.reset_after_retrain();
     let mut live = ChannelChain::phase_then_awgn(theta, es);
     for _ in 0..4 {
-        let (tx, rx) = pilot_round(&pipe, &mut live, &mut rng, 512);
-        controller.observe_pilot_bits(&tx, &rx);
+        let (errors, bits) = pilot_round(&pipe, &mut live, &mut rng, 512);
+        controller.observe_pilot_errors(errors, bits);
     }
     assert_eq!(controller.recommendation(), Recommendation::Continue);
 }
